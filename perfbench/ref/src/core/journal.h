@@ -1,0 +1,134 @@
+// Write-ahead delta journal for the SiloController (control-plane
+// durability).
+//
+// Every public controller mutation — admit, release, server/link failure,
+// server/link restore — appends one JournalRecord *before* it executes.
+// Because the controller is deterministic, replaying the journal through a
+// fresh controller rebuilds the full placement/pacer state bit-identically:
+// placement decisions, shipped pacer configs, and metric counters all match
+// a controller that never crashed (pinned by the storm equivalence tests in
+// tests/test_journal.cc).
+//
+// Records are FNV-1a chain-checksummed (same constants and byte-wise mixing
+// as pacer_config_checksum): each record's `chain` folds the previous chain
+// head with the record payload, so truncation, reordering, or bit-rot
+// anywhere breaks verification of everything after it. Periodic compaction
+// replaces the prefix with an exact ControllerSnapshot; the snapshot's
+// serialized bytes are mixed into the chain, keeping it continuous across
+// compactions.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "model/guarantee.h"
+#include "obs/metrics.h"
+#include "pacer/pacer_config.h"
+#include "placement/placement.h"
+
+namespace silo {
+
+/// The controller operations that mutate placement/pacer state.
+enum class JournalOp : std::uint8_t {
+  kAdmit = 1,
+  kRelease = 2,
+  kServerFailure = 3,
+  kLinkFailure = 4,
+  kServerRestore = 5,
+  kLinkRestore = 6,
+  kLeaseGrant = 7,
+  kLeaseRevoke = 8,
+  kLeaseEpoch = 9,
+};
+
+struct JournalRecord {
+  JournalOp op = JournalOp::kAdmit;
+  TenantRequest request;     ///< kAdmit payload
+  std::int64_t tenant = -1;  ///< kRelease payload
+  std::int32_t server = -1;  ///< kServerFailure / kServerRestore payload
+  std::int32_t port = -1;    ///< kLinkFailure / kLinkRestore payload
+  /// kLeaseGrant payload (full record); kLeaseRevoke uses lease.id only;
+  /// kLeaseEpoch uses lease.issued_epoch as the epoch being advanced to.
+  PacerLeaseRecord lease;
+  /// FNV-1a chain head after folding this record (filled by append()).
+  std::uint64_t chain = 0;
+};
+
+/// Exact logical controller state at a compaction point: the placement
+/// engine's snapshot plus the controller-layer tenant map and metric
+/// counter values. Pending (undrained) config deltas are *not* captured —
+/// recovery re-emits every delta since the snapshot, and the control
+/// channel reconciles the fleet via resync + anti-entropy.
+struct ControllerSnapshot {
+  struct Tenant {
+    std::int64_t id = -1;
+    TenantRequest request;     ///< the original (pre-degradation) request
+    std::uint8_t status = 0;   ///< TenantStatus
+    std::int64_t engine_id = -1;
+    std::vector<int> vm_to_server;
+    std::vector<int> paced_vm_to_server;
+  };
+  placement::EngineSnapshot engine;
+  std::vector<Tenant> tenants;          ///< ascending id
+  std::vector<std::int64_t> counters;   ///< controller counter values, fixed order
+  std::vector<PacerLeaseRecord> leases; ///< active leases, ascending id
+  std::uint64_t lease_epoch = 0;        ///< controller lease epoch
+  std::uint64_t next_lease_id = 1;      ///< lease id allocator cursor
+};
+
+/// Append-only op log with chained checksums and compacted snapshots.
+/// Owns its own MetricsRegistry (`controller.journal.*`) because the
+/// journal outlives controller crashes — the counters must too.
+class DeltaJournal {
+ public:
+  DeltaJournal();
+
+  /// Chain-checksum and store one record (write-ahead: call before the op
+  /// executes). Returns the new chain head.
+  std::uint64_t append(JournalRecord rec);
+
+  /// Replace everything up to now with an exact snapshot; subsequent
+  /// records chain from the snapshot's serialized bytes.
+  void compact(ControllerSnapshot snapshot);
+
+  bool has_snapshot() const { return snapshot_.has_value(); }
+  const ControllerSnapshot& snapshot() const { return *snapshot_; }
+  /// Records appended since the last compaction (oldest first).
+  const std::vector<JournalRecord>& records() const { return records_; }
+  std::uint64_t chain() const { return chain_; }
+  std::int64_t total_appends() const { return m_appends_.value(); }
+
+  /// Recompute the chain from the last trusted base (snapshot-or-genesis)
+  /// and compare against every stored chain value.
+  bool verify() const;
+
+  /// Durable byte form (what a deployment would fsync). deserialize()
+  /// re-derives and checks every chain value and throws std::runtime_error
+  /// on any corruption or truncation.
+  std::string serialize() const;
+  static DeltaJournal deserialize(const std::string& bytes);
+
+  /// Called by SiloController::recover_from_journal after a replay.
+  void note_replay(std::int64_t replayed_records);
+
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+ private:
+  /// Chain value at the last compaction, before the snapshot bytes were
+  /// mixed in (FNV offset basis when never compacted). verify() restarts
+  /// from here.
+  std::uint64_t pre_snapshot_chain_;
+  std::optional<ControllerSnapshot> snapshot_;
+  std::vector<JournalRecord> records_;
+  std::uint64_t chain_;
+
+  obs::MetricsRegistry metrics_;
+  obs::Counter m_appends_;           ///< records ever appended
+  obs::Counter m_snapshots_;         ///< compactions performed
+  obs::Counter m_replays_;           ///< recoveries replayed from this journal
+  obs::Counter m_replayed_records_;  ///< records replayed across recoveries
+};
+
+}  // namespace silo

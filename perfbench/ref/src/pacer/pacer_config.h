@@ -1,0 +1,257 @@
+// Pacer configuration protocol between the controller and the per-server
+// hypervisor pacer (the prototype's NDIS filter driver).
+//
+// The controller's admission/recovery decisions materialize as
+// PacerConfigRecords — one per guaranteed VM, naming the server that hosts
+// it, its {B, S, d, Bmax} guarantee and its peer VMs. Historically the
+// controller pushed a *full snapshot* of every server's records after each
+// change; at datacenter scale (32K servers, thousands of tenants) that is
+// quadratic. The incremental protocol here ships a PacerConfigDelta per
+// *affected* server instead: a batch of keyed removals and upserts that a
+// PacerConfigTable folds into its state. Applying every delta in emission
+// order reproduces the full snapshot bit for bit — the controller tests
+// pin table checksums against freshly computed snapshots.
+//
+// Header-only on purpose: the pacer library sits below the controller in
+// the link graph, so both sides share these types without a dependency
+// cycle.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "model/guarantee.h"
+
+namespace silo {
+
+/// One VM's pacing assignment on a server — everything the hypervisor
+/// needs to enforce the tenant's guarantees locally.
+struct PacerConfigRecord {
+  std::int64_t tenant = -1;
+  int vm_index = 0;   ///< tenant-local VM id
+  int server = 0;
+  SiloGuarantee guarantee;
+  /// (tenant-local VM id, server) of every peer VM: the hypervisor keys
+  /// its per-destination token buckets and EyeQ coordination off these.
+  std::vector<std::pair<int, int>> peers;
+};
+
+/// Epoch-bounded loan of an idle owner's reserved uplink rate to a
+/// colocated borrower VM (EyeQ/QShare-style work conservation, see
+/// docs/WORKCONSERVING.md). A lease is an *overlay*: it never edits the
+/// owner's PacerConfigRecord, and it dies automatically once the applying
+/// table's epoch reaches `expiry_epoch` — so a returning owner can never
+/// be outlived by its own lent headroom, even if every revoke delta is
+/// lost on the control channel.
+struct PacerLeaseRecord {
+  std::uint64_t id = 0;        ///< issuer-unique lease id
+  std::int64_t owner = -1;     ///< lending (guaranteed) tenant
+  std::int64_t borrower = -1;  ///< borrowing tenant
+  int vm_index = 0;            ///< borrower-local VM id receiving the rate
+  int server = 0;              ///< server both VMs share
+  RateBps rate {};             ///< extra send rate on loan
+  std::uint64_t issued_epoch = 0;
+  std::uint64_t expiry_epoch = 0;  ///< dead once table epoch >= this
+};
+
+/// Incremental update to one server's pacer state. Removals apply before
+/// upserts, so a VM that moved onto this server within one recovery pass
+/// ends up present exactly once. Lease fields default to no-ops so the
+/// admission/recovery paths are byte-for-byte unaffected by lending.
+struct PacerConfigDelta {
+  int server = -1;
+  /// (tenant, vm_index) keys whose records leave this server.
+  std::vector<std::pair<std::int64_t, int>> removes;
+  /// Records added or replaced on this server.
+  std::vector<PacerConfigRecord> upserts;
+  /// Issuer's lease epoch when this delta was emitted; 0 = issuer is not
+  /// running lease epochs (legacy deltas). Applying tables adopt the max.
+  std::uint64_t lease_epoch = 0;
+  /// Lease ids revoked early (owner demand returned before expiry).
+  std::vector<std::uint64_t> lease_removes;
+  /// Leases granted or extended on this server.
+  std::vector<PacerLeaseRecord> lease_upserts;
+};
+
+/// What PacerConfigTable::apply observed while folding a delta in.
+/// `stale_removes` is a protocol smell (a remove for a key that was never
+/// present) that the control channel reports; `lease_expired` is the
+/// benign race of a revoke arriving after the lease already died by epoch
+/// expiry — counted separately so anti-entropy does not flag clean expiry.
+struct PacerApplyResult {
+  int stale_removes = 0;
+  int lease_expired = 0;
+};
+
+/// FNV-1a over a record sequence; the golden tests compare delta-built
+/// tables against full snapshots through this.
+inline std::uint64_t pacer_config_checksum(
+    const std::vector<PacerConfigRecord>& records) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_rate = [&](RateBps r) {
+    const double d = r.bps();
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(d));
+    __builtin_memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  };
+  for (const auto& rec : records) {
+    mix(static_cast<std::uint64_t>(rec.tenant));
+    mix(static_cast<std::uint64_t>(rec.vm_index));
+    mix(static_cast<std::uint64_t>(rec.server));
+    mix_rate(rec.guarantee.bandwidth);
+    mix(static_cast<std::uint64_t>(rec.guarantee.burst.count()));
+    mix(static_cast<std::uint64_t>(rec.guarantee.delay.count()));
+    mix_rate(rec.guarantee.burst_rate);
+    mix(static_cast<std::uint64_t>(rec.peers.size()));
+    for (const auto& [vm, server] : rec.peers) {
+      mix(static_cast<std::uint64_t>(vm));
+      mix(static_cast<std::uint64_t>(server));
+    }
+  }
+  return h;
+}
+
+/// FNV-1a over a lease sequence. Kept *separate* from
+/// pacer_config_checksum on purpose: anti-entropy compares config
+/// checksums only, because lease divergence self-heals by epoch expiry
+/// within one epoch and must not trigger snapshot repairs (see
+/// docs/WORKCONSERVING.md "Why leases are outside anti-entropy").
+inline std::uint64_t pacer_lease_checksum(
+    const std::vector<PacerLeaseRecord>& leases) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& l : leases) {
+    mix(l.id);
+    mix(static_cast<std::uint64_t>(l.owner));
+    mix(static_cast<std::uint64_t>(l.borrower));
+    mix(static_cast<std::uint64_t>(l.vm_index));
+    mix(static_cast<std::uint64_t>(l.server));
+    const double d = l.rate.bps();
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(d));
+    __builtin_memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+    mix(l.issued_epoch);
+    mix(l.expiry_epoch);
+  }
+  return h;
+}
+
+/// One server's applied pacer state, keyed by (tenant, vm_index) — the
+/// hypervisor-side consumer of PacerConfigDeltas. Also tracks the active
+/// lease overlays and the local lease epoch; expiry is driven by
+/// advance_epoch (the server's own clock), never by delta delivery, so a
+/// lost revoke can delay *reclamation of borrowed* rate by at most the
+/// epochs already promised — never the owner's guarantee.
+class PacerConfigTable {
+ public:
+  /// How many epochs a cleanly-expired lease id is remembered so that a
+  /// late-arriving revoke counts as `lease_expired`, not `stale_removes`.
+  static constexpr std::uint64_t kExpiredRetentionEpochs = 4;
+
+  /// Folds one delta in (removes before upserts, config before leases).
+  PacerApplyResult apply(const PacerConfigDelta& delta) {
+    PacerApplyResult res;
+    for (const auto& key : delta.removes)
+      if (records_.erase(key) == 0) ++res.stale_removes;
+    for (const auto& rec : delta.upserts)
+      records_.insert_or_assign({rec.tenant, rec.vm_index}, rec);
+    if (delta.lease_epoch > epoch_) advance_epoch(delta.lease_epoch);
+    for (const auto id : delta.lease_removes) {
+      if (leases_.erase(id) > 0) continue;
+      if (expired_.erase(id) > 0)
+        ++res.lease_expired;
+      else
+        ++res.stale_removes;
+    }
+    for (const auto& l : delta.lease_upserts) {
+      if (l.expiry_epoch <= epoch_) {
+        // Dead on arrival: the grant was delayed past its own expiry.
+        // Remember the id so the matching revoke is also counted benign.
+        expired_.insert_or_assign(l.id, l.expiry_epoch);
+        ++res.lease_expired;
+        continue;
+      }
+      leases_.insert_or_assign(l.id, l);
+    }
+    return res;
+  }
+
+  /// Clock-driven epoch advance. Kills every lease with
+  /// expiry_epoch <= epoch and returns the casualties (so the host can
+  /// withdraw the lent rate from its pacers). Monotonic; no-op backwards.
+  std::vector<PacerLeaseRecord> advance_epoch(std::uint64_t epoch) {
+    std::vector<PacerLeaseRecord> died;
+    if (epoch <= epoch_) return died;
+    epoch_ = epoch;
+    for (auto it = leases_.begin(); it != leases_.end();) {
+      if (it->second.expiry_epoch <= epoch_) {
+        expired_.insert_or_assign(it->first, it->second.expiry_epoch);
+        died.push_back(it->second);
+        it = leases_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    // Bound the expired-id memory: once a revoke for a dead lease is this
+    // old it would be a genuine protocol bug, not a benign race.
+    for (auto it = expired_.begin(); it != expired_.end();) {
+      if (it->second + kExpiredRetentionEpochs <= epoch_)
+        it = expired_.erase(it);
+      else
+        ++it;
+    }
+    return died;
+  }
+
+  std::size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  std::uint64_t epoch() const { return epoch_; }
+  std::size_t lease_count() const { return leases_.size(); }
+
+  /// Records in (tenant, vm_index) order — the same deterministic order
+  /// SiloController::server_config emits, so snapshots diff cleanly.
+  std::vector<PacerConfigRecord> records() const {
+    std::vector<PacerConfigRecord> out;
+    out.reserve(records_.size());
+    for (const auto& [key, rec] : records_) out.push_back(rec);
+    return out;
+  }
+
+  /// Active (unexpired) leases in ascending id order.
+  std::vector<PacerLeaseRecord> leases() const {
+    std::vector<PacerLeaseRecord> out;
+    out.reserve(leases_.size());
+    for (const auto& [id, l] : leases_) out.push_back(l);
+    return out;
+  }
+
+  std::uint64_t checksum() const { return pacer_config_checksum(records()); }
+  std::uint64_t lease_checksum() const {
+    return pacer_lease_checksum(leases());
+  }
+
+ private:
+  std::map<std::pair<std::int64_t, int>, PacerConfigRecord> records_;
+  std::map<std::uint64_t, PacerLeaseRecord> leases_;  ///< by lease id
+  /// Cleanly-expired lease ids -> expiry epoch, kept a few epochs so a
+  /// racing revoke is classified benign (pruned in advance_epoch).
+  std::map<std::uint64_t, std::uint64_t> expired_;
+  std::uint64_t epoch_ = 0;
+};
+
+}  // namespace silo

@@ -1,0 +1,221 @@
+// Lossy control channel between the SiloController and per-server pacer
+// agents, with anti-entropy reconciliation.
+//
+// The controller's PacerConfigDeltas are shipped over a simulated channel
+// that can drop, reorder, and delay messages (FaultInjector-drivable).
+// Every delta carries an (epoch, per-server sequence number): agents apply
+// in order, buffer ahead-of-sequence deltas (gap detection), and discard
+// duplicates — so any permutation-with-duplicates of a delta stream
+// converges to the in-order result. Undelivered deltas are retried with
+// jittered exponential backoff (the driver RetryPolicy shape); a periodic
+// anti-entropy sweep walks servers in ascending id order comparing the
+// controller-side shadow PacerConfigTable checksum against each agent's
+// and ships a full-snapshot repair to any desynced server.
+//
+// Crash semantics: the PacerAgentFleet is server-side state and survives
+// controller crashes; the ControlChannel is controller-side and loses its
+// send state with the controller. restart() models the recovered
+// controller coming back — it bumps the epoch (agents drop stale-epoch
+// messages from the dead incarnation), rebuilds the shadow tables from the
+// recovered controller, and lets anti-entropy drive every agent back to
+// the shipped state.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "pacer/pacer_config.h"
+#include "sim/event_queue.h"
+#include "util/rng.h"
+#include "util/units.h"
+
+namespace silo {
+class SiloController;
+}
+
+namespace silo::sim {
+
+/// Mirror of workload::RetryPolicy (that type lives above the sim layer in
+/// the link graph, so the shape is shared rather than the type).
+struct ChannelRetryPolicy {
+  int max_attempts = 6;
+  TimeNs base_backoff = 400 * kUsec;
+  TimeNs max_backoff = 10 * kMsec;
+  double jitter = 0.5;  ///< full +/- fraction applied to each backoff
+};
+
+/// Doubling backoff with full +/- jitter — same formula as the workload
+/// driver's retry_delay. `attempt` counts from 1.
+TimeNs channel_retry_delay(const ChannelRetryPolicy& p, int attempt, Rng& rng);
+
+struct ChannelConfig {
+  TimeNs delivery_delay = 50 * kUsec;   ///< one-way base latency per hop
+  TimeNs delivery_jitter = 20 * kUsec;  ///< uniform extra per hop
+  TimeNs ack_timeout = 500 * kUsec;     ///< unacked after this -> retry
+  ChannelRetryPolicy retry;
+  /// Period of the automatic anti-entropy sweep; 0 means rounds are only
+  /// run manually via anti_entropy_round().
+  TimeNs anti_entropy_period {};
+  double drop_rate = 0;  ///< per one-way hop loss probability
+  std::uint64_t seed = 1;
+};
+
+/// Server-side pacer agents: per-server (epoch, next_seq, gap buffer,
+/// applied PacerConfigTable). Survives controller crashes. The optional
+/// apply hook observes every in-order applied delta (and snapshot-repair
+/// reset deltas), e.g. to mirror state into ClusterSim hosts.
+class PacerAgentFleet {
+ public:
+  using ApplyHook = std::function<void(int server, const PacerConfigDelta&)>;
+
+  struct DeliveryResult {
+    std::uint64_t epoch = 0;          ///< agent epoch after processing
+    std::int64_t acked_through = 0;   ///< highest contiguous applied seq
+    int applied = 0;                  ///< deltas applied in order (incl. drained)
+    int duplicates = 0;               ///< already-seen seqs discarded
+    int gaps = 0;                     ///< ahead-of-seq deltas buffered
+    int stale_epoch = 0;              ///< messages from a dead epoch dropped
+  };
+
+  void set_apply_hook(ApplyHook hook) { hook_ = std::move(hook); }
+
+  /// Idempotent sequenced apply: duplicates drop, gaps buffer, in-order
+  /// deltas apply and drain the buffer. A higher epoch resets the sequence
+  /// space (the buffer dies with the old epoch; the table survives and is
+  /// reconciled by anti-entropy).
+  DeliveryResult deliver_delta(int server, std::uint64_t epoch,
+                               std::int64_t seq, const PacerConfigDelta& delta);
+
+  /// Full-snapshot repair: resets the agent's table to `records`, adopts
+  /// `epoch`, and fast-forwards the sequence cursor to `through_seq`.
+  DeliveryResult deliver_snapshot(int server, std::uint64_t epoch,
+                                  std::int64_t through_seq,
+                                  const std::vector<PacerConfigRecord>& records);
+
+  /// Applied-state checksum (empty-table checksum when no agent exists).
+  std::uint64_t checksum(int server) const;
+  const PacerConfigTable* table(int server) const;
+  std::vector<int> servers() const;  ///< agents ever touched, ascending
+  int buffered(int server) const;    ///< gap-buffered deltas held
+
+ private:
+  struct Agent {
+    std::uint64_t epoch = 0;
+    std::int64_t next_seq = 1;
+    std::map<std::int64_t, PacerConfigDelta> pending;  ///< seq -> buffered
+    PacerConfigTable table;
+  };
+
+  void apply_in_order(int server, Agent& agent, const PacerConfigDelta& delta);
+  void drain(int server, Agent& agent, DeliveryResult& result);
+
+  std::map<int, Agent> agents_;
+  ApplyHook hook_;
+};
+
+/// Controller-side channel: sequencing, retries, shadow tables, and the
+/// anti-entropy sweep. Owns its own MetricsRegistry
+/// (`controller.channel.*`) and Rng; all timing goes through the shared
+/// EventQueue, so chaos runs stay bit-reproducible.
+class ControlChannel {
+ public:
+  ControlChannel(EventQueue& events, PacerAgentFleet& fleet,
+                 const ChannelConfig& cfg);
+
+  /// Ship drained controller deltas: each is applied to the server's
+  /// shadow table (reliable, controller-local) and transmitted with the
+  /// next per-server sequence number.
+  void ship(const std::vector<PacerConfigDelta>& deltas);
+
+  /// Model a controller crash + recovery on the channel side: bump the
+  /// epoch, drop all send state (outstanding transmissions and timers of
+  /// the dead incarnation die), and rebuild the shadow tables from the
+  /// recovered controller's server_config over the union of its paced
+  /// servers and all known agents.
+  void restart(const SiloController& ctl);
+
+  /// One sweep over servers in ascending id order: any quiesced server
+  /// (nothing outstanding) whose agent checksum disagrees with the shadow
+  /// gets a full-snapshot repair. Returns the number of repairs shipped.
+  int anti_entropy_round();
+
+  /// All agents match their shadow tables and nothing is in flight.
+  bool converged() const;
+
+  void set_drop_rate(double rate) { cfg_.drop_rate = rate; }
+  double drop_rate() const { return cfg_.drop_rate; }
+  std::uint64_t epoch() const { return epoch_; }
+  std::uint64_t shadow_checksum(int server) const;
+  /// Servers the controller has ever shipped state for, ascending.
+  std::vector<int> shadow_servers() const;
+  /// Sim-time from the last disturbance (ship while idle, or restart) to
+  /// the most recent observed convergence; also exported as the
+  /// `controller.channel.convergence_ns` gauge.
+  TimeNs last_convergence_delay() const { return last_convergence_; }
+
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+ private:
+  struct Outstanding {
+    PacerConfigDelta delta;                   ///< delta payload
+    std::vector<PacerConfigRecord> snapshot;  ///< snapshot-repair payload
+    std::int64_t through_seq = 0;             ///< snapshot cursor target
+    bool is_snapshot = false;
+    int attempt = 0;
+    std::uint64_t gen = 0;  ///< guards timer closures against reuse
+  };
+
+  void transmit(int server, std::int64_t seq);
+  void on_delta_delivered(int server, std::uint64_t epoch, std::int64_t seq,
+                          const PacerConfigDelta& delta);
+  void on_snapshot_delivered(int server, std::uint64_t epoch,
+                             std::int64_t through_seq,
+                             const std::vector<PacerConfigRecord>& records);
+  void count_delivery(const PacerAgentFleet::DeliveryResult& r);
+  void send_ack(int server, const PacerAgentFleet::DeliveryResult& r);
+  void on_ack(int server, std::uint64_t epoch, std::int64_t acked_through);
+  void on_ack_timeout(int server, std::int64_t seq, std::uint64_t gen);
+  void ship_repair(int server);
+  void arm_anti_entropy();
+  void note_disturbance();
+  void check_converged();
+  std::vector<int> union_servers() const;
+  TimeNs hop_delay();
+  bool dropped();
+
+  EventQueue& events_;
+  PacerAgentFleet& fleet_;
+  ChannelConfig cfg_;
+  Rng rng_;
+  std::uint64_t epoch_ = 1;
+  std::map<int, std::int64_t> last_seq_;
+  std::map<int, std::map<std::int64_t, Outstanding>> outstanding_;
+  std::int64_t total_outstanding_ = 0;
+  std::map<int, PacerConfigTable> shadow_;
+  std::uint64_t next_gen_ = 1;
+  std::uint64_t ae_generation_ = 0;  ///< invalidates the periodic timer
+  TimeNs disturbance_at_ {};
+  TimeNs last_convergence_ {};
+  bool was_converged_ = true;
+
+  obs::MetricsRegistry metrics_;
+  obs::Counter m_shipped_;          ///< deltas shipped (first transmission)
+  obs::Counter m_delivered_;        ///< delta messages that reached an agent
+  obs::Counter m_applied_;          ///< deltas applied in order at agents
+  obs::Counter m_dropped_;          ///< messages lost to injected loss
+  obs::Counter m_retries_;          ///< re-transmissions after ack timeout
+  obs::Counter m_abandoned_;        ///< sends given up after max attempts
+  obs::Counter m_duplicates_;       ///< idempotency: duplicate seqs dropped
+  obs::Counter m_gaps_;             ///< out-of-order deltas buffered
+  obs::Counter m_stale_epoch_;      ///< dead-epoch messages discarded
+  obs::Counter m_stale_removes_;    ///< removes referencing absent records
+  obs::Counter m_lease_expired_;    ///< revokes that raced clean lease expiry
+  obs::Counter m_desyncs_repaired_; ///< anti-entropy full-snapshot repairs
+  obs::Counter m_ae_rounds_;        ///< anti-entropy sweeps run
+  obs::Gauge m_convergence_ns_;     ///< disturbance->convergence sim time
+};
+
+}  // namespace silo::sim
