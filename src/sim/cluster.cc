@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace silo::sim {
 
@@ -18,6 +19,15 @@ std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t v) {
 }
 
 constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
+
+/// Key of a tenant's (src, dst) VM pair in its flow map. Both indices must
+/// be in range, or the key would alias another pair's flow.
+std::int64_t pair_key(int num_vms, int src_local, int dst_local) {
+  if (src_local < 0 || src_local >= num_vms || dst_local < 0 ||
+      dst_local >= num_vms)
+    throw std::out_of_range("ClusterSim: tenant VM index out of range");
+  return static_cast<std::int64_t>(src_local) * num_vms + dst_local;
+}
 
 }  // namespace
 
@@ -58,44 +68,21 @@ ClusterSim::ClusterSim(const ClusterConfig& cfg)
   host_template_.loopback_delay = cfg.loopback_delay;
 
   if (parallel_) {
-    // The island partition is a function of the admitted placement, so
-    // fabric/hosts materialize lazily once admissions settle (first run,
-    // driver attach, or fabric access). Lending's epoch tick walks every
-    // host from one event — inherently cross-island — so it stays a
-    // sequential-mode feature.
+    // Lending's epoch tick walks every host from one event — inherently
+    // cross-island — so it stays a sequential-mode feature.
     if (cfg_.lending.enabled)
       throw std::invalid_argument(
           "ClusterSim: headroom lending is unsupported in parallel mode");
-    part_ = IslandPartition::single(*topo_, 0);
+    // The island partition is a function of the admitted placement, so
+    // parallel mode materializes once admissions settle (first run, driver
+    // attach, or fabric access).
     return;
   }
-
-  // Sequential mode: one island, built here exactly as it always was.
-  islands_.push_back(std::make_unique<IslandState>());
-  IslandState& isl = *islands_.front();
-  part_ = IslandPartition::single(*topo_, 0);
-  fabric_ = std::make_unique<Fabric>(isl.events, *topo_, port_template_);
-  fabric_->set_host_deliver([this](PacketHandle h) { dispatch(0, h); });
-  hosts_.reserve(topo_->num_servers());
-  for (int s = 0; s < topo_->num_servers(); ++s) {
-    hosts_.push_back(
-        std::make_unique<Host>(isl.events, *fabric_, s, host_template_));
-    hosts_.back()->set_local_deliver([this](PacketHandle h) { dispatch(0, h); });
-  }
-
-  // Register the metric catalog (see docs/OBSERVABILITY.md) and hand the
-  // cached cells to every component. The cells are shared cluster-wide:
-  // all ports increment one counter, all hosts another, and so on.
-  register_catalog(isl);
-  for (int p = 0; p < topo_->num_ports(); ++p)
-    fabric_->port(topology::PortId{p}).set_metrics(isl.pm);
-  for (auto& h : hosts_) h->set_metrics(isl.hm, isl.pm);
-  materialized_ = true;
-
+  materialize();
   if (cfg_.lending.enabled) {
     lender_ = std::make_unique<pacer::HeadroomLender>(cfg_.lending.policy);
-    isl.events.schedule_after(cfg_.lending.epoch, EventKind::kClusterLeaseEpoch,
-                              this, 0);
+    islands_.front()->events.schedule_after(
+        cfg_.lending.epoch, EventKind::kClusterLeaseEpoch, this, 0);
   }
 }
 
@@ -153,13 +140,17 @@ void ClusterSim::materialize() {
   if (materialized_) return;
   materialized_ = true;
 
-  std::vector<std::vector<int>> tenant_servers;
-  tenant_servers.reserve(tenants_.size());
-  for (const auto& rt : tenants_) tenant_servers.push_back(rt.vm_server);
-  part_ = IslandPartition::build(*topo_, cfg_.link_delay, tenant_servers);
-  if (part_.num_islands > (1 << 11))
-    throw std::length_error(
-        "ClusterSim: island count exceeds the flow-id encoding (2^11)");
+  if (parallel_) {
+    std::vector<std::vector<int>> tenant_servers;
+    tenant_servers.reserve(tenants_.size());
+    for (const auto& rt : tenants_) tenant_servers.push_back(rt.vm_server);
+    part_ = IslandPartition::build(*topo_, cfg_.link_delay, tenant_servers);
+    if (part_.num_islands > (1 << 11))
+      throw std::length_error(
+          "ClusterSim: island count exceeds the flow-id encoding (2^11)");
+  } else {
+    part_ = IslandPartition::single(*topo_);
+  }
 
   islands_.reserve(static_cast<std::size_t>(part_.num_islands));
   for (int i = 0; i < part_.num_islands; ++i) {
@@ -188,7 +179,9 @@ void ClusterSim::materialize() {
     port.set_metrics(islands_[static_cast<std::size_t>(
                                   part_.port_island[static_cast<std::size_t>(p)])]
                          ->pm);
-    port.set_tx_handoff(&handoff_);
+    // One island never crosses a boundary: spare it the per-packet
+    // next-hop lookup of the handoff.
+    if (part_.num_islands > 1) port.set_tx_handoff(&handoff_);
   }
 
   hosts_.reserve(topo_->num_servers());
@@ -205,47 +198,49 @@ void ClusterSim::materialize() {
         islands_[static_cast<std::size_t>(isl_id)]->pm);
   }
 
-  // Deferred admission plumbing: pacer attachment needs hosts, the
-  // rebalance timer needs the tenant's island queue. Tenant order keeps
-  // the initial event layout input-determined.
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    auto& rt = tenants_[t];
-    if (!rt.pacers) continue;
-    for (int v = 0; v < rt.request.num_vms; ++v)
-      hosts_[static_cast<std::size_t>(rt.vm_server[static_cast<std::size_t>(v)])]
-          ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
-    islands_[static_cast<std::size_t>(part_.tenant_island[t])]
-        ->events.schedule_after(cfg_.rebalance_period,
-                                EventKind::kClusterRebalance, this,
-                                static_cast<std::uint32_t>(t));
-  }
-  islands_.front()->admissions.inc(pending_admissions_);
+  // Tenants admitted before the islands existed, in tenant order so the
+  // initial event layout is input-determined.
+  for (std::size_t t = 0; t < tenants_.size(); ++t)
+    attach_tenant(static_cast<int>(t));
+  islands_.front()->admissions.inc(static_cast<std::int64_t>(tenants_.size()));
   islands_.front()->rejections.inc(pending_rejections_);
+}
+
+void ClusterSim::attach_tenant(int tenant) {
+  auto& rt = tenants_[static_cast<std::size_t>(tenant)];
+  if (!rt.pacers) return;
+  for (int v = 0; v < rt.request.num_vms; ++v)
+    hosts_[static_cast<std::size_t>(rt.vm_server[static_cast<std::size_t>(v)])]
+        ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
+  // Kick off periodic EyeQ-style destination-rate coordination.
+  tenant_events(tenant).schedule_after(cfg_.rebalance_period,
+                                       EventKind::kClusterRebalance, this,
+                                       static_cast<std::uint32_t>(tenant));
 }
 
 // ------------------------------------------------------------- accessors
 
-EventQueue& ClusterSim::events() {
+void ClusterSim::require_sequential(const char* what) const {
   if (parallel_)
     throw std::logic_error(
-        "ClusterSim::events(): parallel mode is island-sharded; use "
-        "tenant_events()/port_events()/server_events()");
+        std::string("ClusterSim::") + what +
+        ": sequential-mode only; parallel mode shards queues and registries "
+        "per island (use tenant_events()/merged_metrics()/"
+        "enable_delivery_trace())");
+}
+
+EventQueue& ClusterSim::events() {
+  require_sequential("events()");
   return islands_.front()->events;
 }
 
 obs::MetricsRegistry& ClusterSim::metrics() {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::metrics(): parallel mode shards the registry per "
-        "island; use merged_metrics()");
+  require_sequential("metrics()");
   return islands_.front()->metrics;
 }
 
 const obs::MetricsRegistry& ClusterSim::metrics() const {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::metrics(): parallel mode shards the registry per "
-        "island; use merged_metrics()");
+  require_sequential("metrics()");
   return islands_.front()->metrics;
 }
 
@@ -260,7 +255,9 @@ Host& ClusterSim::host_mut(int server) {
 }
 
 void ClusterSim::run_until(TimeNs t) {
-  if (!parallel_) {
+  materialize();
+  // One island has infinite lookahead: its window is always the deadline.
+  if (islands_.size() == 1) {
     islands_.front()->events.run_until(t);
     return;
   }
@@ -278,7 +275,6 @@ int ClusterSim::num_islands() {
 }
 
 EventQueue& ClusterSim::tenant_events(int tenant) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
   return islands_[static_cast<std::size_t>(
                       part_.tenant_island.at(static_cast<std::size_t>(tenant)))]
@@ -286,7 +282,6 @@ EventQueue& ClusterSim::tenant_events(int tenant) {
 }
 
 EventQueue& ClusterSim::port_events(topology::PortId id) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
   return islands_[static_cast<std::size_t>(
                       part_.port_island.at(static_cast<std::size_t>(id.value)))]
@@ -294,7 +289,6 @@ EventQueue& ClusterSim::port_events(topology::PortId id) {
 }
 
 EventQueue& ClusterSim::server_events(int server) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
   return islands_[static_cast<std::size_t>(
                       part_.island_of_server(*topo_, server))]
@@ -302,15 +296,12 @@ EventQueue& ClusterSim::server_events(int server) {
 }
 
 EventQueue& ClusterSim::control_events() {
-  if (parallel_) materialize();
+  materialize();
   return islands_.front()->events;
 }
 
 void ClusterSim::set_packet_tap(PacketTap tap) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::set_packet_tap(): sequential-mode debug tap; use "
-        "enable_delivery_trace() in parallel mode");
+  require_sequential("set_packet_tap()");
   tap_ = std::move(tap);
 }
 
@@ -318,10 +309,7 @@ void ClusterSim::set_packet_tap(PacketTap tap) {
 
 void ClusterSim::apply_config_deltas(
     const std::vector<PacerConfigDelta>& deltas) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::apply_config_deltas(): controller delta shipping is "
-        "sequential-mode only");
+  require_sequential("apply_config_deltas()");
   IslandState& isl = *islands_.front();
   for (const auto& delta : deltas) {
     if (delta.server < 0 ||
@@ -347,10 +335,7 @@ void ClusterSim::apply_config_deltas(
 }
 
 obs::FlightRecorder& ClusterSim::enable_flight_recorder(std::size_t capacity) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::enable_flight_recorder(): the flight recorder is a "
-        "single-ring sequential-mode tool; use enable_delivery_trace()");
+  require_sequential("enable_flight_recorder()");
   recorder_ = std::make_unique<obs::FlightRecorder>(capacity);
   recorder_->set_flow_tenants(&islands_.front()->flow_tenant);
   islands_.front()->events.set_flight_recorder(recorder_.get());
@@ -400,10 +385,10 @@ SiloGuarantee ClusterSim::pacing_guarantee(const SiloGuarantee& g) const {
 std::optional<int> ClusterSim::add_tenant(const TenantRequest& request) {
   auto admitted = placer_->place(request);
   if (!admitted) {
-    if (parallel_ && !materialized_)
-      ++pending_rejections_;
-    else
+    if (materialized_)
       islands_.front()->rejections.inc();
+    else
+      ++pending_rejections_;
     return std::nullopt;
   }
   return finish_admission(request, std::move(admitted->vm_to_server));
@@ -430,30 +415,19 @@ int ClusterSim::finish_admission(const TenantRequest& request,
   rt.vm_server = std::move(vm_to_server);
   rt.vm_base = next_global_vm_;
   next_global_vm_ += request.num_vms;
-  if (tenant_paced(request)) {
+  if (tenant_paced(request))
     rt.pacers = std::make_unique<pacer::TenantPacerGroup>(
         pacing_guarantee(request.guarantee), request.num_vms, kMtu,
         rt.vm_base);
-    // Parallel mode: hosts do not exist yet; materialize() attaches.
-    if (!parallel_) {
-      for (int v = 0; v < request.num_vms; ++v) {
-        hosts_[static_cast<std::size_t>(
-                   rt.vm_server[static_cast<std::size_t>(v)])]
-            ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
-      }
-    }
-  }
   tenants_.push_back(std::move(rt));
-  if (parallel_)
-    ++pending_admissions_;
-  else
-    islands_.front()->admissions.inc();
   const int tenant = static_cast<int>(tenants_.size()) - 1;
-  if (tenants_[static_cast<std::size_t>(tenant)].pacers && !parallel_) {
-    // Kick off periodic EyeQ-style destination-rate coordination.
-    islands_.front()->events.schedule_after(
-        cfg_.rebalance_period, EventKind::kClusterRebalance, this,
-        static_cast<std::uint32_t>(tenant));
+  // Before materialize() there are no islands yet; it attaches every
+  // tenant admitted so far. After it (sequential mode only), the new tenant
+  // joins the one island.
+  if (materialized_) {
+    part_.tenant_island.push_back(0);
+    islands_.front()->admissions.inc();
+    attach_tenant(tenant);
   }
   return tenant;
 }
@@ -620,13 +594,11 @@ void ClusterSim::lease_epoch_tick() {
 ClusterSim::FlowRuntime& ClusterSim::flow_for(int tenant, int src_local,
                                               int dst_local) {
   auto& rt = tenants_.at(static_cast<std::size_t>(tenant));
-  const std::int64_t key =
-      static_cast<std::int64_t>(src_local) * rt.request.num_vms + dst_local;
+  const std::int64_t key = pair_key(rt.request.num_vms, src_local, dst_local);
   auto it = rt.pair_to_flow.find(key);
   if (it != rt.pair_to_flow.end()) return flow_runtime(it->second);
 
-  const int island =
-      parallel_ ? part_.tenant_island.at(static_cast<std::size_t>(tenant)) : 0;
+  const int island = part_.tenant_island.at(static_cast<std::size_t>(tenant));
   IslandState& isl = *islands_[static_cast<std::size_t>(island)];
   const int local = static_cast<int>(isl.flows.size());
   if (local > kLocalFlowMask)
@@ -682,9 +654,8 @@ ClusterSim::FlowRuntime& ClusterSim::flow_for(int tenant, int src_local,
 const ClusterSim::FlowRuntime* ClusterSim::find_flow(int tenant, int src_local,
                                                      int dst_local) const {
   const auto& rt = tenants_.at(static_cast<std::size_t>(tenant));
-  const std::int64_t key =
-      static_cast<std::int64_t>(src_local) * rt.request.num_vms + dst_local;
-  auto it = rt.pair_to_flow.find(key);
+  auto it =
+      rt.pair_to_flow.find(pair_key(rt.request.num_vms, src_local, dst_local));
   return it == rt.pair_to_flow.end() ? nullptr : &flow_runtime(it->second);
 }
 

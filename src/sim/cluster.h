@@ -9,14 +9,14 @@
 // HULL, Oktopus, Okto+ (Oktopus placement plus burst allowance) — plus the
 // two closest related-work designs from §7/Table 5: QJUMP and pFabric.
 //
-// The simulation state is organized as *islands* — one in sequential mode,
-// one per disjoint rack/tenant group (plus dedicated islands for shared
-// aggregation queues) when cfg.parallel.enabled. Each island owns an
-// EventQueue, a MetricsRegistry shard with the full catalog, and its
-// tenants' flows; islands synchronize under the conservative window
-// protocol of sim/parallel.h and results are bit-identical for any
-// executor, including the serial fallback and the classic single-queue
-// engine. See DESIGN.md "Parallel execution & conservative
+// The simulation state is organized as *islands*, all built by one path
+// (materialize()): one in sequential mode, one per disjoint rack/tenant
+// group (plus dedicated islands for shared aggregation queues) when
+// cfg.parallel.enabled. Each island owns an EventQueue, a MetricsRegistry
+// shard with the full catalog, and its tenants' flows; islands synchronize
+// under the conservative window protocol of sim/parallel.h and results are
+// bit-identical for any executor, including the serial fallback and the
+// one-island engine. See DESIGN.md "Parallel execution & conservative
 // synchronization".
 #pragma once
 
@@ -91,10 +91,11 @@ struct ClusterConfig {
   };
   Lending lending;
   /// Deterministic parallel execution (DESIGN.md "Parallel execution &
-  /// conservative synchronization"). When enabled, fabric/host
-  /// materialization is deferred until every tenant is admitted — the
-  /// island partition is a function of the placement — and run_until()
-  /// drives the per-island queues under the conservative window protocol.
+  /// conservative synchronization"). When enabled, the island partition is
+  /// a function of the placement, so it is built at the first run (or driver
+  /// attach, or fabric access) and every tenant must be admitted before
+  /// that; run_until() drives the per-island queues under the conservative
+  /// window protocol.
   /// Attach a threaded executor with set_island_executor(); without one a
   /// serial fallback runs the same schedule on the caller's thread.
   struct Parallel {
@@ -158,7 +159,8 @@ class ClusterSim {
 
   /// Write a `size`-byte message from one tenant VM to another at the
   /// current simulation time; `done` fires when the last byte is delivered
-  /// in order at the receiver.
+  /// in order at the receiver. Throws std::out_of_range when either VM
+  /// index is outside the tenant.
   void send_message(int tenant, int src_local, int dst_local, Bytes size,
                     MsgCallback done = nullptr);
 
@@ -238,8 +240,8 @@ class ClusterSim {
   const Host& host(int server) const { return *hosts_.at(server); }
   /// Mutable host access for fault injection (crash / restore).
   Host& host_mut(int server);
-  /// Run to `t`: the single queue directly, or every island under the
-  /// conservative window protocol when cfg.parallel.enabled.
+  /// Run to `t`: a one-island cluster runs its queue directly; more islands
+  /// run under the conservative window protocol.
   void run_until(TimeNs t);
 
   // — Deterministic parallel execution (cfg.parallel.enabled) —
@@ -252,8 +254,9 @@ class ClusterSim {
   /// The static island decomposition (materializes it on first use).
   const IslandPartition& partition();
   int num_islands();
-  /// Window-protocol rounds executed so far. With per-round event counts
-  /// this is the machine-independent overlap evidence benches record.
+  /// Window-protocol rounds executed so far (0 for one island, which needs
+  /// no windows). With per-round event counts this is the machine-
+  /// independent overlap evidence benches record.
   std::int64_t parallel_rounds() const { return rounds_; }
   /// Events processed across every island queue (sequential mode: the one
   /// global queue). Benches report this as the parallel throughput
@@ -381,8 +384,8 @@ class ClusterSim {
     std::vector<DeliveryRecord> trace;
   };
 
-  /// Egress hook wired to every fabric port in parallel mode; forwards to
-  /// offer_cross_island.
+  /// Egress hook wired to every fabric port when there is more than one
+  /// island; forwards to offer_cross_island.
   struct CrossIslandHandoff final : PortTxHandoff {
     ClusterSim* owner = nullptr;
     bool offer(SwitchPortSim& port, PacketHandle h,
@@ -434,11 +437,14 @@ class ClusterSim {
   /// Register the shared metric catalog into one island's registry shard
   /// and cache the handles. Identical names and order on every island.
   void register_catalog(IslandState& isl);
-  /// Parallel mode: build the partition from the admitted placement and
-  /// construct islands/fabric/hosts. Idempotent; the first run, driver
-  /// attach, or fabric access triggers it. Sequential construction runs
-  /// the equivalent inline in the constructor.
+  /// Build the partition (one island in sequential mode, the admitted
+  /// placement's in parallel mode), then islands, fabric and hosts, and
+  /// attach every tenant admitted so far. Idempotent.
   void materialize();
+  /// Attach a tenant's pacers to its hosts and start its rebalance timer.
+  void attach_tenant(int tenant);
+  /// Throws std::logic_error naming `what` in parallel mode.
+  void require_sequential(const char* what) const;
   void run_parallel_until(TimeNs deadline);
   void drain_inbox(int island);
   void island_arrival(int island, PacketHandle h);
@@ -463,10 +469,8 @@ class ClusterSim {
   CrossIslandHandoff handoff_;
   std::int64_t rounds_ = 0;
   bool trace_enabled_ = false;
-  /// Admissions/rejections seen before the islands (and their registry
-  /// shards) exist in parallel mode; replayed into island 0 at
-  /// materialize().
-  std::int64_t pending_admissions_ = 0;
+  /// Rejections seen before the islands (and their registry shards) exist
+  /// in parallel mode; replayed into island 0 at materialize().
   std::int64_t pending_rejections_ = 0;
   int next_global_vm_ = 0;
   PacketTap tap_;

@@ -37,14 +37,12 @@ struct UnionFind {
 
 }  // namespace
 
-IslandPartition IslandPartition::single(const topology::Topology& topo,
-                                        int num_tenants) {
+IslandPartition IslandPartition::single(const topology::Topology& topo) {
   IslandPartition p;
   p.num_islands = 1;
   p.num_components = 1;
   p.rack_island.assign(static_cast<std::size_t>(topo.num_racks()), 0);
   p.port_island.assign(static_cast<std::size_t>(topo.num_ports()), 0);
-  p.tenant_island.assign(static_cast<std::size_t>(num_tenants), 0);
   p.component.assign(1, 0);
   p.component_lookahead.assign(1, kTimeInfinity);
   return p;

@@ -84,9 +84,8 @@ struct IslandPartition {
       const topology::Topology& topo, TimeNs link_delay,
       const std::vector<std::vector<int>>& tenant_servers);
 
-  /// The trivial single-island partition (sequential mode).
-  static IslandPartition single(const topology::Topology& topo,
-                                int num_tenants);
+  /// The one-island partition (sequential mode); tenants join island 0.
+  static IslandPartition single(const topology::Topology& topo);
 };
 
 /// One packet crossing an island boundary. The source island frees its

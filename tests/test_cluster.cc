@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/controller.h"
 #include "sim/cluster.h"
 #include "workload/drivers.h"
@@ -225,6 +227,66 @@ TEST(ClusterSim, PlacementRejectionPropagates) {
   for (int i = 0; i < 5; ++i)
     if (sim.add_tenant(silo_tenant(6, 3 * kGbps, Bytes{1500}))) ++admitted;
   EXPECT_LT(admitted, 5);
+}
+
+// Flows are keyed by src * num_vms + dst, so an unchecked out-of-range
+// index aliases another pair: on a 4-VM tenant, 0 -> 4 is the 1 -> 0 key.
+TEST(ClusterSim, OutOfRangeVmIndexThrows) {
+  ClusterSim sim(small_cluster(Scheme::kTcp));
+  TenantRequest req;
+  req.num_vms = 4;
+  req.guarantee = {1 * kGbps, 15 * kKB, TimeNs{0}, 1 * kGbps};
+  const auto t = sim.add_tenant(req);
+  ASSERT_TRUE(t);
+  sim.send_message(*t, 1, 0, Bytes{10000});
+  sim.run_until(100 * kMsec);
+  ASSERT_EQ(sim.pair_delivered_bytes(*t, 1, 0), 10000);
+
+  EXPECT_THROW(sim.send_message(*t, 0, 4, Bytes{5000}), std::out_of_range);
+  EXPECT_THROW(sim.send_message(*t, -1, 0, Bytes{5000}), std::out_of_range);
+  EXPECT_THROW(sim.send_message(*t, 4, 0, Bytes{5000}), std::out_of_range);
+  EXPECT_THROW(sim.pair_delivered_bytes(*t, 0, 4), std::out_of_range);
+  EXPECT_THROW(sim.debug_flow(*t, 0, -1), std::out_of_range);
+  sim.run_until(200 * kMsec);
+  EXPECT_EQ(sim.pair_delivered_bytes(*t, 1, 0), 10000);
+}
+
+// Sequential mode admits at any time: a tenant placed after the first run
+// joins the one island with its pacers attached and its rebalance timer
+// running, exactly like one admitted before it.
+TEST(ClusterSim, AdmissionAfterRunIsPaced) {
+  ClusterSim sim(spread_cluster(Scheme::kSilo));
+  const auto a = sim.add_tenant(silo_tenant(2, 500 * kMbps));
+  ASSERT_TRUE(a);
+  sim.send_message(*a, 0, 1, 10 * kKB);
+  sim.run_until(50 * kMsec);
+  const std::int64_t data_before =
+      sim.metrics().value("sim.pacer.data_packets");
+  const std::int64_t throttled_before =
+      sim.metrics().value("sim.pacer.throttled");
+
+  const auto g = SiloGuarantee{500 * kMbps, 15 * kKB, 1 * kMsec, 1 * kGbps};
+  const auto b = sim.add_tenant(silo_tenant(2, g.bandwidth, g.burst, g.delay));
+  ASSERT_TRUE(b);
+  ASSERT_NE(sim.vm_server(*b, 0), sim.vm_server(*b, 1));
+  EXPECT_EQ(&sim.tenant_events(*b), &sim.events());
+  EXPECT_EQ(sim.metrics().value("cluster.admissions"), 2);
+
+  const Bytes size = 100 * kKB;
+  bool done = false;
+  TimeNs latency {};
+  sim.send_message(*b, 0, 1, size, [&](const ClusterSim::MessageResult& r) {
+    done = true;
+    latency = r.latency;
+  });
+  sim.run_until(100 * kMsec);
+  ASSERT_TRUE(done);
+  EXPECT_GT(sim.metrics().value("sim.pacer.data_packets"), data_before);
+  EXPECT_GT(sim.metrics().value("sim.pacer.throttled"), throttled_before);
+  // Past the burst the pacer holds the message to its bandwidth guarantee;
+  // unpaced, 100 KB would cross the 10G fabric in ~80 us.
+  EXPECT_GT(latency, transmission_time(size - g.burst, g.bandwidth));
+  EXPECT_LE(latency, max_message_latency(g, size));
 }
 
 TEST(ClusterSim, RtoTrackingPerTenant) {

@@ -368,6 +368,53 @@ TEST(ParallelDeterminism, ZeroLatencyFabricRunsToCompletion) {
   EXPECT_EQ(par.second, seq.second);
 }
 
+// A parallel partition that comes out as one island takes the sequential
+// engine's path: the same single queue run straight to each deadline, so
+// the trace matches and no window round ever runs.
+TEST(ParallelDeterminism, OneIslandPartitionRunsWithoutWindows) {
+  const auto run = [](bool parallel) {
+    sim::ClusterConfig cfg;
+    cfg.topo.pods = 1;
+    cfg.topo.racks_per_pod = 1;
+    cfg.topo.servers_per_rack = 4;
+    cfg.topo.vm_slots_per_server = 2;
+    cfg.scheme = sim::Scheme::kSilo;
+    cfg.parallel.enabled = parallel;
+    sim::ClusterSim cluster(cfg);
+    cluster.enable_delivery_trace();
+    TenantRequest bulk;
+    bulk.num_vms = 3;
+    bulk.tenant_class = TenantClass::kBandwidthOnly;
+    bulk.guarantee = {RateBps{1e9}, Bytes{1500}, TimeNs{0}, RateBps{1e9}};
+    TenantRequest ds;
+    ds.num_vms = 2;
+    ds.tenant_class = TenantClass::kDelaySensitive;
+    ds.guarantee = {RateBps{0.3e9}, 15 * kKB, 1 * kMsec, 1 * kGbps};
+    const int ta = cluster.add_tenant_pinned(bulk, {0, 1, 2});
+    const int tb = cluster.add_tenant_pinned(ds, {3, 0});
+    workload::BulkDriver da(cluster, ta, workload::all_to_all(3), 64 * kKB, 7);
+    workload::PoissonMessageDriver db(cluster, tb, 0, 1, 4000, 15 * kKB, 8);
+    da.start(10 * kMsec);
+    db.start(10 * kMsec);
+    cluster.run_until(5 * kMsec);
+    cluster.run_until(15 * kMsec);
+    Outcome out;
+    out.delivery_checksum = cluster.delivery_trace_checksum();
+    out.deliveries = cluster.delivery_trace_size();
+    out.rounds = cluster.parallel_rounds();
+    out.islands = cluster.num_islands();
+    return out;
+  };
+  const Outcome seq = run(false);
+  const Outcome par = run(true);
+  ASSERT_GT(seq.deliveries, 1000);
+  EXPECT_EQ(seq.islands, 1);
+  EXPECT_EQ(par.islands, 1);
+  EXPECT_EQ(par.delivery_checksum, seq.delivery_checksum);
+  EXPECT_EQ(par.deliveries, seq.deliveries);
+  EXPECT_EQ(par.rounds, 0);
+}
+
 // Sequential-only surfaces must refuse loudly in parallel mode instead of
 // silently racing: the single-queue accessor, the unsharded registry, the
 // debug tap, controller deltas, lending, loss-rate fault windows, and
