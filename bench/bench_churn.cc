@@ -64,6 +64,7 @@ struct StormResult {
   std::uint64_t decision_checksum = 0;  ///< placements, in op order
   std::uint64_t config_checksum = 0;    ///< sampled server_config snapshots
   bool deltas_match_snapshots = true;   ///< incremental mode only
+  placement::PlacementWork work;        ///< prefill + storm + recoveries
 };
 
 /// Run prefill + storm on one controller. The rng seed and op mix are
@@ -179,6 +180,7 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
   r.deltas = ctl.metrics().value("controller.diff.deltas");
   r.upserts = ctl.metrics().value("controller.diff.upserts");
   r.removes = ctl.metrics().value("controller.diff.removes");
+  r.work = ctl.placement().work();
   return r;
 }
 
@@ -356,7 +358,8 @@ int main(int argc, char** argv) {
       "Identical op sequences; decisions and configs must checksum-match.");
 
   TextTable table({"scale", "servers", "tenants", "inc ops/s", "full ops/s",
-                   "speedup", "golden"});
+                   "speedup", "rejects", "inc probes/rej", "full probes/rej",
+                   "golden"});
   TextTable rtable({"scale", "recoveries", "mean ms", "max ms", "replayed",
                     "ae rounds", "golden"});
   bench::JsonObject json;
@@ -397,6 +400,9 @@ int main(int argc, char** argv) {
     table.add_row({spec.name, std::to_string(spec.servers()),
                    std::to_string(prefill), TextTable::fmt(inc_rate, 0),
                    TextTable::fmt(full_rate, 0), TextTable::fmt(speedup, 1),
+                   std::to_string(inc.work.place_rejects),
+                   TextTable::fmt(bench::ports_probed_per_reject(inc.work), 0),
+                   TextTable::fmt(bench::ports_probed_per_reject(full.work), 0),
                    golden ? "ok" : "MISMATCH"});
 
     bench::JsonObject entry;
@@ -413,6 +419,8 @@ int main(int argc, char** argv) {
         .put("diff_deltas", inc.deltas)
         .put("diff_upserts", inc.upserts)
         .put("diff_removes", inc.removes)
+        .put("inc_placement_work", bench::placement_work_json(inc.work))
+        .put("full_placement_work", bench::placement_work_json(full.work))
         .put("golden_ok", std::string(golden ? "true" : "false"));
 
     if (restart_every > 0) {

@@ -103,6 +103,10 @@ int main(int argc, char** argv) {
   table.add_row({"median", TextTable::fmt(micros.median(), 1) + " us"});
   table.add_row({"99th percentile", TextTable::fmt(micros.percentile(99), 1) + " us"});
   table.add_row({"max", TextTable::fmt(micros.max() / 1000.0, 2) + " ms"});
+  table.add_row({"ports probed per reject",
+                 TextTable::fmt(bench::ports_probed_per_reject(engine.work()), 0)});
+  table.add_row({"scopes pruned",
+                 std::to_string(engine.work().scopes_pruned)});
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Paper reference: maximum placement time 1.15 s over 100K\n"
               "requests (their prototype); anything in that envelope keeps\n"
@@ -115,7 +119,8 @@ int main(int argc, char** argv) {
         .put("admitted", static_cast<std::int64_t>(admitted))
         .put("mean_us", micros.mean())
         .put("p99_us", micros.percentile(99))
-        .put("max_us", micros.max());
+        .put("max_us", micros.max())
+        .put("placement_work", bench::placement_work_json(engine.work()));
     bench::write_json_file("BENCH_placement_micro.json", out);
   }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/manifest.h"
+#include "placement/placement.h"
 #include "util/stats.h"
 
 namespace silo::bench {
@@ -112,6 +113,28 @@ class JsonObject {
   }
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// Mean port probes per rejected place() call (0 when none was rejected).
+inline double ports_probed_per_reject(const placement::PlacementWork& w) {
+  return w.place_rejects > 0 ? static_cast<double>(w.reject_ports_probed) /
+                                   static_cast<double>(w.place_rejects)
+                             : 0.0;
+}
+
+/// A PlacementEngine's deterministic work counters, plus the mean port
+/// probes per rejected request.
+inline JsonObject placement_work_json(const placement::PlacementWork& w) {
+  JsonObject out;
+  out.put("place_admits", w.place_admits)
+      .put("place_rejects", w.place_rejects)
+      .put("candidates", w.candidates)
+      .put("admit_ports_probed", w.admit_ports_probed)
+      .put("reject_ports_probed", w.reject_ports_probed)
+      .put("scopes_pruned", w.scopes_pruned)
+      .put("idle_ports_probed", w.idle_ports_probed)
+      .put("ports_probed_per_reject", ports_probed_per_reject(w));
+  return out;
+}
 
 /// Write `obj` to `path` (pretty enough for diffing: one line). Returns
 /// false and prints a warning on IO failure.

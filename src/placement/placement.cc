@@ -7,8 +7,6 @@
 namespace silo::placement {
 namespace {
 
-constexpr double kRateEps = 1e-6;  // relative slack on rate comparisons
-
 enum class PortKind {
   kServerUp,
   kServerDown,
@@ -325,28 +323,31 @@ PortContribution PlacementEngine::cut_contribution(const TenantRequest& req,
   return c;
 }
 
-bool PlacementEngine::port_admits(int port, const PortContribution& c) const {
-  // A dead port cannot honor a reservation; zero-reservation probes
-  // (best-effort tenants) pass so degraded placement stays feasible.
-  if (port_failed_[static_cast<std::size_t>(port)] &&
-      (c.rate_bps > 0 || c.burst_bytes > 0))
-    return false;
-  if (policy_ == Policy::kLocality) return true;
+bool PlacementEngine::port_admits(int port, const PortContribution& c,
+                                  bool idle) const {
+  static const PortLoad kIdle;
   const auto id = topology::PortId{port};
   const auto& p = topo_.port(id);
-  const auto& load = port_load_[port];
-  if (load.rate_bps() + c.rate_bps > p.rate.bps() * (1.0 + kRateEps))
-    return false;
+  // A dead port cannot honor a reservation; zero-reservation probes
+  // (best-effort tenants) pass so degraded placement stays feasible.
+  const bool dead = !idle && port_failed_[static_cast<std::size_t>(port)] &&
+                    (c.rate_bps > 0 || c.burst_bytes > 0);
   // Bandwidth reservation is the whole story for Oktopus, and for the NIC
   // egress (the pacer absorbs bursts before the wire, so feasibility there
   // is purely about sustained rate).
-  if (policy_ == Policy::kOktopus || topo_.is_nic_port(id)) return true;
-  const TimeNs bound = load.queue_bound(p.rate, &c);
-  return bound >= TimeNs{0} && bound <= p.queue_capacity;
+  const PortLoad& load = idle ? kIdle : port_load_[port];
+  const bool ok = !dead && (policy_ == Policy::kLocality ||
+                            load.admits(c, p.rate, p.queue_capacity,
+                                        policy_ == Policy::kOktopus ||
+                                            topo_.is_nic_port(id)));
+  ++(idle ? work_.idle_ports_probed : ports_probed_);
+  // An idle refusal prunes the split on every server, so it must be final.
+  return ok || (idle && !load.refusal_is_final(c, p.rate));
 }
 
 bool PlacementEngine::server_ports_ok(const TenantRequest& req, int server,
-                                      int m_here, Scope scope) const {
+                                      int m_here, Scope scope,
+                                      bool idle) const {
   if (policy_ == Policy::kLocality) return true;
   // Best-effort tenants reserve nothing (slots-only admission, matching
   // tenant_contributions): probing ports with their nominal guarantee
@@ -358,16 +359,35 @@ bool PlacementEngine::server_ports_ok(const TenantRequest& req, int server,
   const auto up = cut_contribution(
       req, m_here, upstream_capacity(static_cast<int>(PortKind::kServerUp), scope),
       link);
-  if (!port_admits(topo_.server_up(server).value, up)) return false;
+  if (!port_admits(topo_.server_up(server).value, up, idle)) return false;
   const auto down = cut_contribution(
       req, n - m_here,
       upstream_capacity(static_cast<int>(PortKind::kServerDown), scope), link);
-  return port_admits(topo_.server_down(server).value, down);
+  return port_admits(topo_.server_down(server).value, down, idle);
+}
+
+PlacementEngine::SplitMask PlacementEngine::live_splits(
+    const TenantRequest& req, Scope scope) const {
+  const int n = req.num_vms;
+  SplitMask live(
+      static_cast<std::size_t>(std::min(topo_.config().vm_slots_per_server, n) + 1),
+      1);
+  live[0] = 0;
+  if (mode_ == AdmissionMode::kFullRescan) return live;
+  // pack_servers never gives a server more VMs than the fault-domain cap,
+  // and below server scope never all n: without fault domains, server
+  // scope has already taken any server with n free slots.
+  const int domains = std::max(1, req.min_fault_domains);
+  const int hi = domains > 1 ? (n + domains - 1) / domains : n - 1;
+  for (int m = 1; m < static_cast<int>(live.size()); ++m)
+    live[static_cast<std::size_t>(m)] =
+        m <= hi && server_ports_ok(req, 0, m, scope, /*idle=*/true);
+  return live;
 }
 
 std::optional<PlacementEngine::CountMap> PlacementEngine::pack_servers(
-    const TenantRequest& req, const std::vector<int>& servers,
-    Scope scope) const {
+    const TenantRequest& req, const std::vector<int>& servers, Scope scope,
+    const SplitMask& live) const {
   CountMap counts;
   int remaining = req.num_vms;
   // Fault domains (§4.2.3): capping each server at ceil(n/d) VMs forces
@@ -379,7 +399,8 @@ std::optional<PlacementEngine::CountMap> PlacementEngine::pack_servers(
     const int cap =
         std::min({free_slots_[s], remaining, domain_cap});
     for (int m = cap; m >= 1; --m) {
-      if (server_ports_ok(req, s, m, scope)) {
+      if (live[static_cast<std::size_t>(m)] &&
+          server_ports_ok(req, s, m, scope)) {
         counts.emplace_back(s, m);
         remaining -= m;
         break;
@@ -441,7 +462,8 @@ bool PlacementEngine::validate_candidate(const TenantRequest& req,
 }
 
 std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
-    const TenantRequest& req, Scope scope, int anchor) const {
+    const TenantRequest& req, Scope scope, int anchor,
+    const SplitMask& live) const {
   const auto& cfg = topo_.config();
   std::vector<int> servers;
   switch (scope) {
@@ -476,13 +498,23 @@ std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
       break;
     }
   }
-  auto counts = pack_servers(req, servers, scope);
+  auto counts = pack_servers(req, servers, scope, live);
   if (!counts) return std::nullopt;
   if (!validate_candidate(req, *counts, scope)) return std::nullopt;
   return counts;
 }
 
 std::optional<AdmittedTenant> PlacementEngine::place(
+    const TenantRequest& request) {
+  const std::int64_t probed = ports_probed_;
+  auto admitted = first_fit(request);
+  ++(admitted ? work_.place_admits : work_.place_rejects);
+  (admitted ? work_.admit_ports_probed : work_.reject_ports_probed) +=
+      ports_probed_ - probed;
+  return admitted;
+}
+
+std::optional<AdmittedTenant> PlacementEngine::first_fit(
     const TenantRequest& request) {
   if (request.num_vms < 1) return std::nullopt;
   if (request.num_vms > free_slots_total_) return std::nullopt;
@@ -497,8 +529,17 @@ std::optional<AdmittedTenant> PlacementEngine::place(
   for (int sc = static_cast<int>(Scope::kServer);
        sc <= static_cast<int>(widest); ++sc) {
     const auto scope = static_cast<Scope>(sc);
+    SplitMask live;
+    if (scope != Scope::kServer) {
+      live = live_splits(request, scope);
+      if (std::find(live.begin(), live.end(), 1) == live.end()) {
+        ++work_.scopes_pruned;  // no server here can take any of its VMs
+        continue;
+      }
+    }
     auto attempt = [&](int anchor) -> std::optional<AdmittedTenant> {
-      auto counts = try_scope(request, scope, anchor);
+      ++work_.candidates;
+      auto counts = try_scope(request, scope, anchor, live);
       if (!counts) return std::nullopt;
       TenantRecord rec;
       rec.request = request;

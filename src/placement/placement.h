@@ -46,6 +46,28 @@ enum class Scope { kServer = 0, kRack = 1, kPod = 2, kDatacenter = 3 };
 /// replaces. Both modes make bit-identical placement decisions.
 enum class AdmissionMode { kIncremental, kFullRescan };
 
+/// Deterministic count of the work one PlacementEngine has done since
+/// construction. Equal inputs give equal counts on any machine, so tests
+/// can pin them exactly. Not part of EngineSnapshot: a restored engine
+/// counts its own work from zero.
+struct PlacementWork {
+  std::int64_t place_admits = 0;   ///< place() calls that admitted
+  std::int64_t place_rejects = 0;  ///< place() calls that returned nullopt
+  std::int64_t candidates = 0;     ///< scope anchors tried (try_scope calls)
+  std::int64_t admit_ports_probed = 0;   ///< port tests in admitting calls
+  std::int64_t reject_ports_probed = 0;  ///< port tests in rejecting calls
+  /// Rack/pod/datacenter scopes skipped whole by static split pruning.
+  std::int64_t scopes_pruned = 0;
+  /// Idle-port tests static split pruning made (at most two per split per
+  /// scope); not in the ports_probed counts.
+  std::int64_t idle_ports_probed = 0;
+
+  std::int64_t place_calls() const { return place_admits + place_rejects; }
+  std::int64_t ports_probed() const {
+    return admit_ports_probed + reject_ports_probed;
+  }
+};
+
 struct AdmittedTenant {
   TenantId id = -1;
   std::vector<int> vm_to_server;  ///< VM index -> server index
@@ -155,6 +177,8 @@ class PlacementEngine {
 
   const topology::Topology& topo() const { return topo_; }
 
+  const PlacementWork& work() const { return work_; }
+
  private:
   struct TenantRecord {
     TenantRequest request;
@@ -167,13 +191,28 @@ class PlacementEngine {
   // Per-server VM counts for a candidate placement.
   using CountMap = std::vector<std::pair<int, int>>;  // (server, count)
 
+  // live[m] != 0 when a server may take m of the tenant's VMs at a scope;
+  // sized min(slots, n) + 1, live[0] = 0.
+  using SplitMask = std::vector<char>;
+
+  std::optional<AdmittedTenant> first_fit(const TenantRequest& request);
   std::optional<CountMap> try_scope(const TenantRequest& req, Scope scope,
-                                    int anchor_server) const;
+                                    int anchor_server,
+                                    const SplitMask& live) const;
   std::optional<CountMap> pack_servers(const TenantRequest& req,
                                        const std::vector<int>& servers,
-                                       Scope scope) const;
+                                       Scope scope,
+                                       const SplitMask& live) const;
+  /// Static split pruning: the splits pack_servers may use at a scope
+  /// wider than one server. A split an idle, healthy port pair refuses is
+  /// dead on every server (load only tightens the test), so an all-dead
+  /// mask skips the scope. kFullRescan keeps every split: it is the
+  /// exhaustive reference search.
+  SplitMask live_splits(const TenantRequest& req, Scope scope) const;
+  /// `idle` probes server 0's port pair as if unloaded and healthy
+  /// (server ports are uniform), for live_splits.
   bool server_ports_ok(const TenantRequest& req, int server, int m_here,
-                       Scope scope) const;
+                       Scope scope, bool idle = false) const;
   bool validate_candidate(const TenantRequest& req, const CountMap& counts,
                           Scope scope) const;
   std::vector<std::pair<int, PortContribution>> tenant_contributions(
@@ -186,7 +225,8 @@ class PlacementEngine {
                                     TimeNs upstream_capacity,
                                     RateBps line_cap) const;
 
-  bool port_admits(int port, const PortContribution& c) const;
+  bool port_admits(int port, const PortContribution& c,
+                   bool idle = false) const;
   TimeNs upstream_capacity(int level, Scope scope) const;
 
   Scope widest_scope_for_delay(const SiloGuarantee& g) const;
@@ -223,6 +263,8 @@ class PlacementEngine {
   std::vector<char> port_failed_;
   std::map<TenantId, TenantRecord> tenants_;
   TenantId next_id_ = 0;
+  mutable PlacementWork work_;
+  mutable std::int64_t ports_probed_ = 0;  ///< live-port tests, ever
 
   // --- Sharded derived state (incremental mode) --------------------------
   // Shard layout: one shard per rack (owning its servers' NIC/ToR ports),

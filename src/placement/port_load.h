@@ -63,9 +63,9 @@ class PortLoad {
       br += extra->burst_rate_bps;
       j += extra->jump_bytes;
     }
+    if (overloaded(r, service_rate)) return TimeNs{-1};
     const double c = service_rate.bps() / 8e9;  // bytes per ns
     const double rb = r / 8e9, brb = std::max(br, r) / 8e9;
-    if (c <= 0 || rb > c * (1.0 + 1e-9)) return TimeNs{-1};
     if (s <= j || brb <= rb + 1e-15) {
       // Effectively a single token bucket with burst min(s, j)... the
       // tighter intercept bounds the deviation.
@@ -77,6 +77,41 @@ class PortLoad {
     const double knee = (s - j) / (brb - rb);
     const double at_knee = j + brb * knee;
     return static_cast<TimeNs>(at_knee / c - knee) + TimeNs{1};
+  }
+
+  /// Admission test of one more contribution `c` at a port of line rate
+  /// `service_rate` and queue capacity `queue_capacity`: the sustained
+  /// rate must fit the line rate (with kRateEps slack) and, unless
+  /// `rate_only`, the queue bound must fit the capacity. Placement probes
+  /// live ports and, for split pruning, an idle PortLoad through this one
+  /// test.
+  bool admits(const PortContribution& c, RateBps service_rate,
+              TimeNs queue_capacity, bool rate_only) const {
+    if (rate_bps_ + c.rate_bps > service_rate.bps() * (1.0 + kRateEps))
+      return false;
+    if (rate_only) return true;
+    const TimeNs bound = queue_bound(service_rate, &c);
+    return bound >= TimeNs{0} && bound <= queue_capacity;
+  }
+
+  /// Whether admits() refusing `c` here stays a refusal once more load is
+  /// added, given every added contribution has burst rate >= rate (as all
+  /// placement contributions do): the rate test and queue_bound only grow
+  /// with load. The exception is a sustained rate above line rate but
+  /// inside queue_bound's overload tolerance: there its knee formula
+  /// treats the port as stable and shrinks as burst rate is added.
+  bool refusal_is_final(const PortContribution& c,
+                        RateBps service_rate) const {
+    const double r = rate_bps_ + c.rate_bps;
+    return r <= service_rate.bps() || overloaded(r, service_rate);
+  }
+
+  static constexpr double kRateEps = 1e-6;  ///< relative line-rate slack
+
+  /// queue_bound's overload test, in the bytes-per-ns units it uses.
+  static bool overloaded(double rate_bps, RateBps service_rate) {
+    const double c = service_rate.bps() / 8e9;
+    return c <= 0 || rate_bps / 8e9 > c * (1.0 + 1e-9);
   }
 
   /// Aggregate arrival curve of everything admitted through the port,

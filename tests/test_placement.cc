@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "placement/placement.h"
 #include "util/rng.h"
@@ -251,6 +255,23 @@ TEST(Placement, FaultDomainsForceSpreading) {
   for (const auto& [s, c] : counts) EXPECT_LE(c, 3);
 }
 
+// A 1-VM tenant that asks for fault domains skips server scope and lands
+// at rack scope holding all n = 1 of its VMs on one server: the one case
+// where static split pruning must keep the m = n split alive.
+TEST(Placement, OneVmWithFaultDomainsPlacesAtRackScope) {
+  topology::Topology topo(small_topo());
+  for (const auto mode : {AdmissionMode::kIncremental,
+                          AdmissionMode::kFullRescan}) {
+    PlacementEngine eng(topo, Policy::kSilo, 50 * kUsec, true, mode);
+    auto req = class_a(1);
+    req.min_fault_domains = 2;
+    const auto got = eng.place(req);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->vm_to_server, std::vector<int>{0});
+    EXPECT_EQ(eng.work().scopes_pruned, 0);
+  }
+}
+
 TEST(Placement, HoseTighteningAdmitsMore) {
   // Ablation (DESIGN.md #1): the naive m*B aggregate admits no more than
   // the hose-tightened min(m, N-m)*B bound.
@@ -371,6 +392,297 @@ TEST(Placement, IncrementalModeMatchesFullRescanUnderChurn) {
     }
     check_state();
   }
+}
+
+std::string describe(const PortContribution& c) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{r " << c.rate_bps << " s " << c.burst_bytes << " br "
+      << c.burst_rate_bps << " j " << c.jump_bytes << "}";
+  return out.str();
+}
+
+// Static split pruning rests on one premise: load only tightens a port's
+// admission test, so a refusal refusal_is_final() vouches for survives any
+// added load. Every PortLoad is a sum of contributions whose burst rate is
+// at least their sustained rate (cut_contribution's shape), so the draws
+// keep that invariant and are otherwise free, with the edges of
+// queue_bound drawn on purpose: s <= j, burst rate within 1e-15 B/ns of
+// the rate, a sustained rate within 1e-9 of line rate, and the knee
+// (brb > c > rb). Without the refusal_is_final() filter this finds
+// counterexamples just above line rate, where queue_bound's knee formula
+// shrinks as burst rate is added.
+TEST(PortLoadProperty, AddedLoadNeverTurnsRefusalIntoAdmit) {
+  const RateBps line = 10 * kGbps;
+  Rng rng(13);
+  const auto draw = [&]() -> PortContribution {
+    PortContribution c;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: c.rate_bps = 0; break;
+      case 1: c.rate_bps = rng.uniform(0, 1.2) * line.bps(); break;
+      case 2:  // within 1e-9 of line rate, on either side
+        c.rate_bps = line.bps() * (1.0 + rng.uniform(-2e-9, 2e-9));
+        break;
+      default: c.rate_bps = rng.uniform(0, 0.3) * line.bps(); break;
+    }
+    switch (rng.uniform_int(0, 2)) {
+      case 0: c.burst_rate_bps = c.rate_bps; break;
+      case 1:  // brb - rb around the 1e-15 B/ns single-bucket cut-off
+        c.burst_rate_bps = c.rate_bps + rng.uniform(0, 2) * 8e-6;
+        break;
+      default:  // knee territory once the sum passes line rate
+        c.burst_rate_bps = c.rate_bps + rng.uniform(0, 3) * line.bps();
+        break;
+    }
+    c.jump_bytes = rng.uniform_int(0, 1) != 0 ? static_cast<double>(kMtu)
+                                               : rng.uniform(0, 20e3);
+    switch (rng.uniform_int(0, 2)) {
+      case 0: c.burst_bytes = c.jump_bytes * rng.uniform(0, 1); break;  // s <= j
+      case 1: c.burst_bytes = c.jump_bytes; break;
+      default: c.burst_bytes = c.jump_bytes + rng.uniform(0, 400e3); break;
+    }
+    return c;
+  };
+  const auto load_of = [&](int parts) {
+    PortLoad load;
+    for (int i = 0; i < parts; ++i) load.add(draw());
+    return load;
+  };
+
+  std::int64_t refusals = 0, queue_refusals = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const PortLoad base = load_of(static_cast<int>(rng.uniform_int(0, 2)));
+    const PortContribution c = draw();
+    PortLoad loaded = base;
+    std::vector<PortContribution> extra(
+        static_cast<std::size_t>(rng.uniform_int(1, 2)));
+    for (auto& e : extra) loaded.add(e = draw());
+    const TimeNs capacity{rng.uniform_int(1, 400) * 1000};
+    for (const bool rate_only : {false, true}) {
+      if (base.admits(c, line, capacity, rate_only) ||
+          !base.refusal_is_final(c, line))
+        continue;
+      ++refusals;
+      if (!rate_only && base.rate_bps() + c.rate_bps <=
+                            line.bps() * (1.0 + PortLoad::kRateEps))
+        ++queue_refusals;
+      ASSERT_FALSE(loaded.admits(c, line, capacity, rate_only))
+          << "draw " << i << " rate_only " << rate_only << " capacity "
+          << capacity << " base rate " << base.rate_bps() << " burst "
+          << base.burst_bytes() << " c " << describe(c) << " extra "
+          << describe(extra[0])
+          << (extra.size() > 1 ? " + " + describe(extra[1]) : "");
+    }
+  }
+  // Both refusal kinds were exercised, not just the rate test.
+  EXPECT_GT(queue_refusals, 10000);
+  EXPECT_GT(refusals, queue_refusals);
+}
+
+// --- Static split pruning vs the exhaustive kFullRescan search ----------
+
+std::uint64_t soak_seed_base() {
+  const char* env = std::getenv("SOAK_SEED_BASE");
+  if (env && *env) return std::strtoull(env, nullptr, 10);
+  return 20260805ull;  // fixed default: the tier-1 run stays deterministic
+}
+
+/// 64 servers x 8 slots at the paper's 1:5 oversubscription and 312 KB
+/// ToR buffers: a class-A tenant's downlink cut overflows an idle port
+/// once about 21 VMs sit behind it, so big tenants exercise the prune.
+topology::TopologyConfig soak_topo() {
+  topology::TopologyConfig cfg;
+  cfg.pods = 2;
+  cfg.racks_per_pod = 4;
+  cfg.servers_per_rack = 8;
+  cfg.vm_slots_per_server = 8;
+  return cfg;
+}
+
+/// The Fig 15 tenant mix: geometric sizes (mean 16, 2..128 VMs), half
+/// class-A (15 KB bursts, 1 ms delay), class-B at 0.1-5 Gbps; one request
+/// in eight asks for 2-4 fault domains.
+TenantRequest fig15_request(Rng& rng) {
+  TenantRequest req;
+  int n = 2;
+  while (rng.uniform() > 1.0 / 15.0 && n < 128) ++n;
+  req.num_vms = n;
+  const auto bw = [&](double mean) {
+    return RateBps{std::clamp(rng.exponential(mean), 0.1e9, 5e9)};
+  };
+  if (rng.uniform() < 0.5) {
+    req.tenant_class = TenantClass::kDelaySensitive;
+    req.guarantee = {bw(0.25e9), 15 * kKB, 1 * kMsec, 1 * kGbps};
+    req.guarantee.burst_rate =
+        std::max(req.guarantee.burst_rate, req.guarantee.bandwidth);
+  } else {
+    req.tenant_class = TenantClass::kBandwidthOnly;
+    req.guarantee = {bw(2e9), Bytes{1500}, TimeNs{0}, RateBps{0}};
+  }
+  if (rng.uniform_int(0, 7) == 0)
+    req.min_fault_domains = static_cast<int>(rng.uniform_int(2, 4));
+  return req;
+}
+
+/// Slots, indexes, decisions and every tenant's admitted per-port
+/// contributions must match exactly. The per-port sums may not:
+/// kIncremental subtracts a released tenant's contribution and keeps
+/// rounding dust that kFullRescan's re-summation does not, so with random
+/// bandwidths reservations agree to 1e-9 rather than bit for bit (and
+/// port_queue_bound, whose exact curve analysis is sensitive to that dust,
+/// is not compared).
+void expect_same_state(const PlacementEngine& inc, const PlacementEngine& full,
+                       int step) {
+  const auto& topo = inc.topo();
+  ASSERT_EQ(inc.free_slots(), full.free_slots()) << "step " << step;
+  ASSERT_EQ(inc.admitted_tenants(), full.admitted_tenants()) << "step " << step;
+  ASSERT_NEAR(inc.max_port_reservation(), full.max_port_reservation(), 1e-9);
+  for (int p = 0; p < topo.num_ports(); ++p) {
+    const auto id = topology::PortId{p};
+    ASSERT_NEAR(inc.port_reservation(id), full.port_reservation(id), 1e-9)
+        << "step " << step << " port " << p;
+    ASSERT_EQ(inc.tenants_using_port(id), full.tenants_using_port(id));
+  }
+  for (int s = 0; s < topo.num_servers(); ++s)
+    ASSERT_EQ(inc.tenants_on_server(s), full.tenants_on_server(s));
+  const auto a = inc.snapshot(), b = full.snapshot();
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    const auto &x = a.tenants[t], &y = b.tenants[t];
+    ASSERT_EQ(x.id, y.id);
+    ASSERT_EQ(x.vm_to_server, y.vm_to_server);
+    ASSERT_EQ(x.contributions.size(), y.contributions.size());
+    for (std::size_t k = 0; k < x.contributions.size(); ++k) {
+      const auto &[px, cx] = x.contributions[k];
+      const auto &[py, cy] = y.contributions[k];
+      ASSERT_EQ(px, py) << "step " << step << " tenant " << x.id;
+      ASSERT_EQ(cx.rate_bps, cy.rate_bps);
+      ASSERT_EQ(cx.burst_bytes, cy.burst_bytes);
+      ASSERT_EQ(cx.burst_rate_bps, cy.burst_rate_bps);
+      ASSERT_EQ(cx.jump_bytes, cy.jump_bytes);
+    }
+  }
+  ASSERT_EQ(a.failed_servers.size(), b.failed_servers.size());
+  ASSERT_EQ(a.failed_ports, b.failed_ports);
+}
+
+/// One seeded storm against both engines: closed-loop admits below 85%
+/// occupancy and releases above it, with one op in ten a server or port
+/// failure that a fresh request is placed around before the restore.
+/// Decisions and per-port state must stay identical throughout.
+void prune_storm(PlacementEngine& inc, PlacementEngine& full,
+                 std::uint64_t seed, int ops) {
+  const auto& topo = inc.topo();
+  Rng rng(seed);
+  std::vector<TenantId> live;  // ids agree across engines
+  const auto place_both = [&](const TenantRequest& req, int step) {
+    const auto a = inc.place(req);
+    const auto b = full.place(req);
+    EXPECT_EQ(a.has_value(), b.has_value())
+        << "seed " << seed << " step " << step << " n " << req.num_vms;
+    if (!a || !b) return std::optional<TenantId>{};
+    EXPECT_EQ(a->id, b->id) << "seed " << seed << " step " << step;
+    EXPECT_EQ(a->vm_to_server, b->vm_to_server)
+        << "seed " << seed << " step " << step;
+    return std::optional<TenantId>{a->id};
+  };
+  for (int step = 0; step < ops; ++step) {
+    const double used =
+        1.0 - static_cast<double>(inc.free_slots()) / topo.total_vm_slots();
+    if (rng.uniform_int(0, 9) == 0) {
+      const bool server = rng.uniform_int(0, 1) == 0;
+      const int s = static_cast<int>(rng.uniform_int(0, topo.num_servers() - 1));
+      const auto p = topology::PortId{
+          static_cast<int>(rng.uniform_int(0, topo.num_ports() - 1))};
+      if (server ? inc.server_failed(s) : inc.port_failed(p)) continue;
+      if (server) {
+        inc.fail_server(s);
+        full.fail_server(s);
+      } else {
+        inc.fail_port(p);
+        full.fail_port(p);
+      }
+      if (const auto id = place_both(fig15_request(rng), step)) live.push_back(*id);
+      if (server) {
+        inc.restore_server(s);
+        full.restore_server(s);
+      } else {
+        inc.restore_port(p);
+        full.restore_port(p);
+      }
+    } else if (used < 0.85 || live.empty()) {
+      if (const auto id = place_both(fig15_request(rng), step)) live.push_back(*id);
+    } else {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      inc.remove(live[i]);
+      full.remove(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(inc, full, step))
+        << "seed " << seed;
+  }
+}
+
+// The prune fires on exactly the traffic that made rejects slow: big
+// class-A tenants whose cut overflows even an idle ToR buffer. Silo (with
+// and without hose tightening) and Oktopus must decide bit-identically to
+// the unpruned kFullRescan search, and the prune must have fired.
+TEST(PlacementSoak, StaticPruneMatchesExhaustive) {
+  const topology::Topology topo(soak_topo());
+  struct Config {
+    Policy policy;
+    bool hose_tightening;
+  };
+  for (const Config cfg : {Config{Policy::kSilo, true},
+                           Config{Policy::kSilo, false},
+                           Config{Policy::kOktopus, true}}) {
+    const std::uint64_t base = soak_seed_base();
+    for (std::uint64_t seed = base; seed < base + 2; ++seed) {
+      PlacementEngine inc(topo, cfg.policy, 50 * kUsec, cfg.hose_tightening,
+                          AdmissionMode::kIncremental);
+      PlacementEngine full(topo, cfg.policy, 50 * kUsec, cfg.hose_tightening,
+                           AdmissionMode::kFullRescan);
+      ASSERT_NO_FATAL_FAILURE(prune_storm(inc, full, seed, 400));
+      EXPECT_EQ(inc.work().place_rejects, full.work().place_rejects);
+      EXPECT_GT(inc.work().place_rejects, 0) << "seed " << seed;
+      EXPECT_EQ(full.work().scopes_pruned, 0);
+      // Oktopus reserves at most line rate per cut, so an idle port never
+      // refuses and the prune never fires; Silo's queue bound does.
+      if (cfg.policy == Policy::kSilo) {
+        EXPECT_GT(inc.work().scopes_pruned, 0)
+            << "seed " << seed << " hose " << cfg.hose_tightening;
+        EXPECT_LT(inc.work().ports_probed(), full.work().ports_probed());
+      }
+    }
+  }
+}
+
+// Work golden: the fixed-seed storm's placement work, pinned exactly. The
+// counters are deterministic, so a change that brings back the exhaustive
+// reject walk (or any other extra probing) fails here on any machine.
+TEST(PlacementWork, FixedStormCountsArePinned) {
+  const topology::Topology topo(soak_topo());
+  PlacementEngine inc(topo, Policy::kSilo);
+  PlacementEngine full(topo, Policy::kSilo, 50 * kUsec, true,
+                       AdmissionMode::kFullRescan);
+  ASSERT_NO_FATAL_FAILURE(prune_storm(inc, full, 20260805ull, 400));
+  const PlacementWork& w = inc.work();
+  EXPECT_EQ(w.place_admits, 186);
+  EXPECT_EQ(w.place_rejects, 67);
+  EXPECT_EQ(w.candidates, 399);
+  EXPECT_EQ(w.admit_ports_probed, 2346);
+  EXPECT_EQ(w.reject_ports_probed, 3046);
+  EXPECT_EQ(w.scopes_pruned, 73);
+  EXPECT_EQ(w.idle_ports_probed, 4104);
+  // The exhaustive reference makes the same calls, probes no idle ports,
+  // and walks every scope of a doomed request.
+  EXPECT_EQ(full.work().place_rejects, w.place_rejects);
+  EXPECT_EQ(full.work().idle_ports_probed, 0);
+  EXPECT_EQ(full.work().admit_ports_probed, 2503);
+  EXPECT_EQ(full.work().reject_ports_probed, 15790);
 }
 
 }  // namespace
