@@ -13,6 +13,10 @@
 // channel anti-entropy convergence over the agent fleet). Its decisions
 // and configs must checksum-match the incremental run — a crash is
 // invisible to the placement history.
+// --mix=fig15 swaps the request sampler for the Fig 15 tenant mix (mean 16
+// VMs, Table 3 bandwidths) and prefills to about half the slots, so many
+// admits are rejected: the same goldens then cover the reject path and
+// static split pruning, and the run fails if neither was exercised.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -43,6 +47,8 @@ constexpr ScaleSpec kScales[] = {
     {"32k", 16, 50, 40},
 };
 
+using Sampler = TenantRequest (*)(Rng&);
+
 TenantRequest sample_request(Rng& rng) {
   TenantRequest req;
   req.num_vms = 2 + static_cast<int>(rng.uniform_int(0, 12));
@@ -55,6 +61,35 @@ TenantRequest sample_request(Rng& rng) {
   }
   return req;
 }
+
+/// The Fig 15 tenant mix: geometric size with mean 16 (at least 2), half
+/// class-A, Table 3 bandwidth draws (exponential, clamped to the NIC).
+TenantRequest fig15_request(Rng& rng) {
+  constexpr double kMeanVms = 16.0;
+  const bool class_a = rng.uniform() < 0.5;
+  TenantRequest req;
+  const double p = 1.0 / (kMeanVms - 1.0);
+  int n = 2;
+  while (rng.uniform() > p && n < 8 * kMeanVms) ++n;
+  req.num_vms = n;
+  const auto bw = [&](double mean) {
+    return RateBps{std::clamp(rng.exponential(mean), 0.1e9, 5e9)};
+  };
+  if (class_a) {
+    req.tenant_class = TenantClass::kDelaySensitive;
+    req.guarantee = {bw(0.25e9), 15 * kKB, 1 * kMsec, 1 * kGbps};
+    req.guarantee.burst_rate =
+        std::max(req.guarantee.burst_rate, req.guarantee.bandwidth);
+  } else {
+    req.tenant_class = TenantClass::kBandwidthOnly;
+    req.guarantee = {bw(2e9), Bytes{1500}, TimeNs{0}, RateBps{0}};
+  }
+  return req;
+}
+
+/// Rejected admits fold this marker into the decision checksum, so the
+/// modes must agree on where rejects fall, not only on what was placed.
+constexpr std::uint64_t kRejectMark = 0x4e4e;
 
 struct StormResult {
   double storm_seconds = 0;
@@ -72,7 +107,7 @@ struct StormResult {
 /// so both controllers see the same op sequence.
 StormResult run_storm(const topology::TopologyConfig& tcfg,
                       placement::AdmissionMode mode, std::int64_t prefill,
-                      std::int64_t ops, std::uint64_t seed) {
+                      std::int64_t ops, std::uint64_t seed, Sampler sample) {
   SiloController::Options opts;
   opts.admission_mode = mode;
   SiloController ctl(tcfg, opts);
@@ -108,12 +143,15 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
         live[it->second].vm_to_server = ctl.tenant_placement(id);
     }
   };
-  for (std::int64_t i = 0; i < prefill; ++i) {
-    if (const auto handle = ctl.admit(sample_request(rng))) {
+  const auto admit = [&] {
+    if (const auto handle = ctl.admit(sample(rng))) {
       track(*handle);
       mix_handle(*handle);
+    } else {
+      mix(r.decision_checksum, kRejectMark);
     }
-  }
+  };
+  for (std::int64_t i = 0; i < prefill; ++i) admit();
   // Hypervisor-side model: fold every drained delta into per-server
   // tables; applied state must equal the snapshots at the end.
   std::map<int, PacerConfigTable> fleet;
@@ -124,10 +162,7 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
     const auto roll = rng.uniform_int(0, 9);
     if (roll < 4 || live.empty()) {
       ++r.admits;
-      if (const auto handle = ctl.admit(sample_request(rng))) {
-        track(*handle);
-        mix_handle(*handle);
-      }
+      admit();
     } else if (roll < 7) {
       ++r.releases;
       const auto i = static_cast<std::size_t>(
@@ -213,7 +248,7 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
                                 std::int64_t prefill, std::int64_t ops,
                                 std::uint64_t seed,
                                 std::int64_t restart_every,
-                                std::int64_t snapshot_every) {
+                                std::int64_t snapshot_every, Sampler sample) {
   SiloController::Options opts;
   opts.admission_mode = placement::AdmissionMode::kIncremental;
   std::optional<SiloController> ctl;
@@ -255,12 +290,15 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
         live[it->second].vm_to_server = ctl->tenant_placement(id);
     }
   };
-  for (std::int64_t i = 0; i < prefill; ++i) {
-    if (const auto handle = ctl->admit(sample_request(rng))) {
+  const auto admit = [&] {
+    if (const auto handle = ctl->admit(sample(rng))) {
       track(*handle);
       mix_handle(*handle);
+    } else {
+      mix_into(r.decision_checksum, kRejectMark);
     }
-  }
+  };
+  for (std::int64_t i = 0; i < prefill; ++i) admit();
   ship_drained();
 
   const auto crash_and_recover = [&] {
@@ -292,10 +330,7 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
   for (std::int64_t op = 0; op < ops; ++op) {
     const auto roll = rng.uniform_int(0, 9);
     if (roll < 4 || live.empty()) {
-      if (const auto handle = ctl->admit(sample_request(rng))) {
-        track(*handle);
-        mix_handle(*handle);
-      }
+      admit();
     } else if (roll < 7) {
       const auto i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
@@ -349,6 +384,16 @@ int main(int argc, char** argv) {
   /// Crash + journal-recover the controller every N storm ops (0 = off).
   const auto restart_every = flags.geti("restart-every", 0);
   const auto snapshot_every = flags.geti("snapshot-every", 64);
+  /// Request mix: "uniform" (2-14 VMs) or the reject-heavy "fig15".
+  const std::string mix = flags.gets("mix", "uniform");
+  if (mix != "uniform" && mix != "fig15") {
+    std::fprintf(stderr, "unknown --mix=%s (uniform|fig15)\n", mix.c_str());
+    return 2;
+  }
+  const bool fig15 = mix == "fig15";
+  const Sampler sample = fig15 ? fig15_request : sample_request;
+  // Artifact names carry the mix so both modes can share a directory.
+  const std::string bench_name = fig15 ? "churn_fig15" : "churn";
 
   bench::print_header(
       "Control-plane churn storm: incremental vs full-recompute admission",
@@ -356,6 +401,9 @@ int main(int argc, char** argv) {
       "kIncremental (sharded port loads, cached headroom, pacer-config\n"
       "deltas) and kFullRescan (rebuild-everything reference) modes.\n"
       "Identical op sequences; decisions and configs must checksum-match.");
+  if (fig15)
+    std::printf("mix: fig15 (mean 16 VMs, Table 3 bandwidths, ~half-full "
+                "prefill; rejects and split pruning must occur)\n\n");
 
   TextTable table({"scale", "servers", "tenants", "inc ops/s", "full ops/s",
                    "speedup", "rejects", "inc probes/rej", "full probes/rej",
@@ -363,10 +411,11 @@ int main(int argc, char** argv) {
   TextTable rtable({"scale", "recoveries", "mean ms", "max ms", "replayed",
                     "ae rounds", "golden"});
   bench::JsonObject json;
-  json.put("bench", std::string("churn"))
+  json.put("bench", bench_name)
       .put("ops", ops)
       .put("seed", static_cast<std::int64_t>(seed))
-      .put("restart_every", restart_every);
+      .put("restart_every", restart_every)
+      .put("mix", mix);
   bool all_golden = true;
   const ScaleSpec* last = nullptr;
 
@@ -380,15 +429,26 @@ int main(int argc, char** argv) {
     tcfg.vm_slots_per_server = 8;
     // Steady-state live set scaled to the fleet; ~an eighth-full DC keeps
     // the full-rescan prefill tractable while leaving admission headroom.
-    const std::int64_t prefill =
-        flags.geti("tenants", std::max<std::int64_t>(64, spec.servers() / 16));
+    // The fig15 mix (mean 16 VMs on 8-slot servers) aims at half full.
+    const std::int64_t default_tenants =
+        fig15 ? spec.servers() / 4
+              : std::max<std::int64_t>(64, spec.servers() / 16);
+    const std::int64_t prefill = flags.geti("tenants", default_tenants);
 
     const auto inc = run_storm(tcfg, placement::AdmissionMode::kIncremental,
-                               prefill, ops, seed);
+                               prefill, ops, seed, sample);
     const auto full = run_storm(tcfg, placement::AdmissionMode::kFullRescan,
-                                prefill, ops, seed);
+                                prefill, ops, seed, sample);
 
-    const bool golden = inc.deltas_match_snapshots &&
+    // The fig15 mix exists to cover rejects and split pruning; a run that
+    // exercised neither checked nothing it was asked to.
+    const bool covered =
+        !fig15 || (inc.work.place_rejects > 0 && inc.work.scopes_pruned > 0);
+    if (!covered)
+      std::printf("%s: fig15 mix made %lld rejects, %lld pruned scopes\n",
+                  spec.name, static_cast<long long>(inc.work.place_rejects),
+                  static_cast<long long>(inc.work.scopes_pruned));
+    const bool golden = covered && inc.deltas_match_snapshots &&
                         inc.decision_checksum == full.decision_checksum &&
                         inc.config_checksum == full.config_checksum;
     all_golden = all_golden && golden;
@@ -425,7 +485,7 @@ int main(int argc, char** argv) {
 
     if (restart_every > 0) {
       const auto rr = run_restart_storm(tcfg, prefill, ops, seed,
-                                        restart_every, snapshot_every);
+                                        restart_every, snapshot_every, sample);
       const bool golden_restart =
           rr.converged_ok && rr.fleet_matches_snapshots &&
           rr.decision_checksum == inc.decision_checksum &&
@@ -466,12 +526,13 @@ int main(int argc, char** argv) {
 
   if (flags.has("json")) {
     json.put("all_golden", std::string(all_golden ? "true" : "false"));
-    bench::write_json_file("BENCH_churn.json", json);
+    bench::write_json_file(
+        fig15 ? "BENCH_churn_fig15.json" : "BENCH_churn.json", json);
   }
 
   if (last != nullptr) {
     obs::RunManifest m;
-    m.bench = "churn";
+    m.bench = bench_name;
     m.seed = static_cast<std::int64_t>(seed);
     m.topology = {{"pods", last->pods},
                   {"racks_per_pod", last->racks_per_pod},
@@ -479,7 +540,8 @@ int main(int argc, char** argv) {
                   {"vm_slots_per_server", 8}};
     m.params = {{"ops", std::to_string(ops)},
                 {"scales", scales},
-                {"restart_every", std::to_string(restart_every)}};
+                {"restart_every", std::to_string(restart_every)},
+                {"mix", mix}};
     bench::maybe_write_manifest(flags, m);
   }
   return all_golden ? 0 : 1;

@@ -1,14 +1,18 @@
 // Google-benchmark microbenchmarks of the hot-path primitives: network-
 // calculus curve operations, queue-bound analysis, token-bucket stamping,
-// void-packet batch construction, hose allocation, and placement
-// admission — the operations whose cost bounds how fast a placement
-// manager and a software pacer can run.
+// void-packet batch construction, hose allocation, placement admission,
+// and the control plane's journal compaction and codec — the operations
+// whose cost bounds how fast a placement manager and a software pacer can
+// run.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/controller.h"
+#include "core/journal.h"
 #include "netcalc/curve.h"
 #include "pacer/hose_allocator.h"
 #include "pacer/paced_nic.h"
@@ -128,6 +132,76 @@ void BM_PlacementAdmit(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementAdmit)->Unit(benchmark::kMicrosecond);
 
+/// A 1,600-server controller filled to half its VM slots with a 2-14 VM
+/// class-A/B mix, built once and shared by the journal benchmarks.
+const SiloController& prefilled_controller() {
+  static const std::unique_ptr<SiloController> ctl = [] {
+    topology::TopologyConfig tcfg;
+    tcfg.pods = 4;
+    tcfg.racks_per_pod = 10;
+    tcfg.servers_per_rack = 40;
+    auto c = std::make_unique<SiloController>(tcfg);
+    Rng rng(9);
+    const int half = c->stats().total_slots / 2;
+    while (c->stats().free_slots > half) {
+      TenantRequest req;
+      req.num_vms = 2 + static_cast<int>(rng.uniform_int(0, 12));
+      if (rng.uniform() < 0.5) {
+        req.tenant_class = TenantClass::kDelaySensitive;
+        req.guarantee = {300 * kMbps, 15 * kKB, 1300 * kUsec, 1 * kGbps};
+      } else {
+        req.tenant_class = TenantClass::kBandwidthOnly;
+        req.guarantee = {500 * kMbps, Bytes{1500}, TimeNs{0}, 1 * kGbps};
+      }
+      if (!c->admit(req)) break;
+    }
+    return c;
+  }();
+  return *ctl;
+}
+
+/// Serialized size of a journal holding only a snapshot, less the framing
+/// of an empty journal: the snapshot's own byte count.
+std::int64_t snapshot_bytes(const DeltaJournal& compacted) {
+  return static_cast<std::int64_t>(compacted.serialize().size() -
+                                   DeltaJournal().serialize().size());
+}
+
+void BM_JournalCompact(benchmark::State& state) {
+  // One compaction: copy the controller state, then hash its encoding.
+  const SiloController& ctl = prefilled_controller();
+  DeltaJournal journal;
+  for (auto _ : state) journal.compact(ctl.snapshot());
+  const std::int64_t bytes = snapshot_bytes(journal);
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.counters["snapshot_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_JournalCompact)->Unit(benchmark::kMicrosecond);
+
+void BM_JournalRoundTrip(benchmark::State& state) {
+  // The durability path of a restart: serialize, then deserialize (which
+  // re-verifies every chain value). The journal holds a snapshot and 128
+  // loose records, half a compaction interval at snapshot_every = 256.
+  const SiloController& ctl = prefilled_controller();
+  DeltaJournal journal;
+  journal.compact(ctl.snapshot());
+  for (int i = 0; i < 128; ++i) {
+    JournalRecord rec;
+    rec.op = i % 2 == 0 ? JournalOp::kAdmit : JournalOp::kRelease;
+    rec.request.num_vms = 2 + i % 13;
+    rec.tenant = i;
+    journal.append(rec);
+  }
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = journal.serialize();
+    bytes = static_cast<std::int64_t>(blob.size());
+    benchmark::DoNotOptimize(DeltaJournal::deserialize(blob).chain());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_JournalRoundTrip)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace silo
 
@@ -156,7 +230,7 @@ int main(int argc, char** argv) {
   silo::obs::RunManifest m;
   m.bench = "micro_ops";
   m.seed = 0;
-  m.params = {{"suite", "netcalc/pacer/placement hot-path primitives"}};
+  m.params = {{"suite", "netcalc/pacer/placement/journal hot-path primitives"}};
   silo::bench::maybe_write_manifest(flags, m);
   return 0;
 }

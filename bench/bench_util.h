@@ -26,7 +26,9 @@ class Flags {
       if (arg.rfind("--", 0) != 0) continue;
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
+        // Bare --flag. assign() rather than = "1": GCC 12 raises a false
+        // -Wrestrict on the inlined const char* assignment.
+        values_[arg.substr(2)].assign(1, '1');
       } else {
         values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

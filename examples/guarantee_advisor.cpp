@@ -32,10 +32,10 @@ int main() {
               rec.average_bandwidth / 1e6);
   std::printf("recommended guarantee      : B = %.1f Mbps (%.2fx average), "
               "S = %ld KB, Bmax = %.1f Gbps\n",
-              rec.guarantee.bandwidth / 1e6,
-              rec.guarantee.bandwidth / rec.average_bandwidth,
+              rec.guarantee.bandwidth.bps() / 1e6,
+              rec.guarantee.bandwidth.bps() / rec.average_bandwidth,
               static_cast<long>(rec.guarantee.burst / kKB),
-              rec.guarantee.burst_rate / 1e9);
+              rec.guarantee.burst_rate.bps() / 1e9);
   std::printf("expected late fraction     : %.4f%% (target %.4f%%) — %s\n",
               100 * rec.expected_late_fraction,
               100 * opts.target_late_fraction,

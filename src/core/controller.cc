@@ -1,6 +1,7 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "netcalc/curve.h"
@@ -103,15 +104,23 @@ void SiloController::release(const TenantHandle& handle) {
   }
   revoke_leases_for_tenant(handle.id);
   emit_config_deltas(handle.id, state, /*now_paced=*/false);
-  count_status(state.status, -1);
+  count_status(handle.id, state.status, -1);
   tenants_.erase(it);
   m_releases_.inc();
   maybe_compact();
 }
 
-void SiloController::count_status(TenantStatus status, int delta) {
-  if (status == TenantStatus::kDegraded) degraded_count_ += delta;
-  if (status == TenantStatus::kUnplaced) unplaced_count_ += delta;
+void SiloController::count_status(placement::TenantId id, TenantStatus status,
+                                  int delta) {
+  std::set<placement::TenantId>* index = nullptr;
+  if (status == TenantStatus::kDegraded) index = &degraded_;
+  if (status == TenantStatus::kUnplaced) index = &unplaced_;
+  if (index == nullptr) return;
+  if (delta > 0) {
+    index->insert(id);
+  } else {
+    index->erase(id);
+  }
 }
 
 std::vector<placement::TenantId> SiloController::to_external(
@@ -129,10 +138,9 @@ std::vector<placement::TenantId> SiloController::to_external(
 std::vector<placement::TenantId> SiloController::non_guaranteed_tenants()
     const {
   std::vector<placement::TenantId> out;
-  for (const auto& [id, state] : tenants_) {
-    if (state.status != TenantStatus::kGuaranteed) out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(degraded_.size() + unplaced_.size());
+  std::merge(degraded_.begin(), degraded_.end(), unplaced_.begin(),
+             unplaced_.end(), std::back_inserter(out));
   return out;
 }
 
@@ -361,7 +369,7 @@ RecoveryReport SiloController::recover(
   for (const auto id : affected) {
     auto& state = tenants_.at(id);
     const TenantStatus old_status = state.status;
-    count_status(old_status, -1);
+    count_status(id, old_status, -1);
     // Placement is about to change under any lease this tenant lends or
     // borrows; reclaim first (inside the already-journaled failure op).
     revoke_leases_for_tenant(id);
@@ -394,7 +402,7 @@ RecoveryReport SiloController::recover(
       engine_to_external_.emplace(placed->id, id);
       state.vm_to_server = placed->vm_to_server;
       state.status = TenantStatus::kDegraded;
-      count_status(state.status, +1);
+      count_status(id, state.status, +1);
       report.degraded.push_back(id);
       m_degraded_.inc();
       emit_config_deltas(id, state, /*now_paced=*/false);
@@ -404,7 +412,7 @@ RecoveryReport SiloController::recover(
     state.vm_to_server.assign(
         static_cast<std::size_t>(state.request.num_vms), -1);
     state.status = TenantStatus::kUnplaced;
-    count_status(state.status, +1);
+    count_status(id, state.status, +1);
     report.unplaced.push_back(id);
     m_unplaced_.inc();
     emit_config_deltas(id, state, /*now_paced=*/false);
@@ -501,7 +509,7 @@ void SiloController::restore_snapshot(const ControllerSnapshot& snap) {
     state.engine_id = t.engine_id;
     state.status = static_cast<TenantStatus>(t.status);
     if (t.engine_id >= 0) engine_to_external_.emplace(t.engine_id, t.id);
-    count_status(state.status, +1);
+    count_status(t.id, state.status, +1);
     tenants_.emplace(t.id, std::move(state));
   }
   if (snap.counters.size() >= 10) {
@@ -630,8 +638,8 @@ DatacenterStats SiloController::stats() const {
   s.total_slots = topo_.total_vm_slots();
   s.free_slots = engine_.free_slots();
   s.admitted_tenants = engine_.admitted_tenants();
-  s.degraded_tenants = degraded_count_;
-  s.unplaced_tenants = unplaced_count_;
+  s.degraded_tenants = static_cast<int>(degraded_.size());
+  s.unplaced_tenants = static_cast<int>(unplaced_.size());
   s.max_port_reservation = engine_.max_port_reservation();
   s.max_queue_headroom_used = engine_.max_queue_headroom_used();
   return s;

@@ -11,8 +11,9 @@
 // available as the full-snapshot reference the deltas must reproduce.
 #pragma once
 
-#include <optional>
 #include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "model/guarantee.h"
@@ -222,8 +223,9 @@ class SiloController {
   /// cleared only) in kFullRescan mode.
   void emit_config_deltas(placement::TenantId id, TenantState& state,
                           bool now_paced);
-  /// Keep degraded_count_/unplaced_count_ in sync on a status change.
-  void count_status(TenantStatus status, int delta);
+  /// Enter (`delta` > 0) or leave tenant `id` in the index of its status
+  /// (degraded_ / unplaced_; guaranteed tenants are not indexed).
+  void count_status(placement::TenantId id, TenantStatus status, int delta);
   /// Revoke every lease naming `id` as owner or borrower (placement is
   /// changing under it). Runs inside already-journaled ops — release and
   /// recovery — so replay reproduces the cascade without extra records.
@@ -244,8 +246,10 @@ class SiloController {
   /// server_config used to need).
   std::map<placement::TenantId, placement::TenantId> engine_to_external_;
   std::vector<PacerConfigDelta> pending_deltas_;
-  int degraded_count_ = 0;
-  int unplaced_count_ = 0;
+  /// Non-guaranteed tenants by status, so restores and stats() touch only
+  /// them instead of scanning tenants_.
+  std::set<placement::TenantId> degraded_;
+  std::set<placement::TenantId> unplaced_;
   std::map<std::uint64_t, PacerLeaseRecord> leases_;  ///< active, by id
   std::uint64_t lease_epoch_ = 0;
   std::uint64_t next_lease_id_ = 1;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace silo {
 namespace {
@@ -13,12 +14,19 @@ constexpr std::uint64_t kMagic = 0x314e524a4f4c4953ull;
 // v2: lease payload on every record + lease state in snapshots.
 constexpr std::uint32_t kVersion = 2;
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+/// Fold the N low bytes of `v`, least significant first, into FNV-1a
+/// state `h` — exactly what FNV over v's little-endian encoding does.
+template <int N>
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < N; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
     h *= kFnvPrime;
   }
   return h;
+}
+
+std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
+  return fnv_fold<8>(h, v);
 }
 
 std::uint64_t double_bits(double d) {
@@ -26,15 +34,6 @@ std::uint64_t double_bits(double d) {
   static_assert(sizeof(bits) == sizeof(d));
   std::memcpy(&bits, &d, sizeof(bits));
   return bits;
-}
-
-std::uint64_t fnv_bytes(const std::string& bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 /// Chain one record onto the running head. Payload fields that the op does
@@ -73,16 +72,44 @@ std::uint64_t record_chain(std::uint64_t prev, const JournalRecord& rec) {
 }
 
 // ------------------------------------------------------------- byte codec
+//
+// One encoder, two sinks. Every field is fixed-width little-endian, handed
+// to the sink whole: StringSink appends the bytes (serialize), FnvSink
+// folds them into FNV-1a as they are produced (compact and verify hash a
+// snapshot without ever building its byte string). The fold stays
+// byte-wise on purpose: a 64-bit-word FNV would let two top-bit flips in
+// adjacent words cancel, weakening tamper detection.
 
+class StringSink {
+ public:
+  template <int N>
+  void put(std::uint64_t v) {
+    char buf[N];
+    for (int i = 0; i < N; ++i) buf[i] = static_cast<char>(v >> (8 * i));
+    out_.append(buf, N);
+  }
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+class FnvSink {
+ public:
+  template <int N>
+  void put(std::uint64_t v) { h_ = fnv_fold<N>(h_, v); }
+  std::uint64_t hash() const { return h_; }
+
+ private:
+  std::uint64_t h_ = kFnvOffset;
+};
+
+template <typename Sink>
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u8(std::uint8_t v) { sink_.template put<1>(v); }
+  void u32(std::uint32_t v) { sink_.template put<4>(v); }
+  void u64(std::uint64_t v) { sink_.template put<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(double_bits(v)); }
@@ -90,30 +117,18 @@ class ByteWriter {
     u64(v.size());
     for (const int x : v) i32(x);
   }
-  const std::string& bytes() const { return out_; }
+  Sink& sink() { return sink_; }
 
  private:
-  std::string out_;
+  Sink sink_;
 };
 
 class ByteReader {
  public:
   explicit ByteReader(const std::string& bytes) : bytes_(bytes) {}
-  std::uint8_t u8() {
-    if (pos_ >= bytes_.size())
-      throw std::runtime_error("journal corrupt: truncated");
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(take<1>()); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(take<4>()); }
+  std::uint64_t u64() { return take<8>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
@@ -140,11 +155,26 @@ class ByteReader {
   bool done() const { return pos_ == bytes_.size(); }
 
  private:
+  /// One fixed-width little-endian field behind a single bounds check.
+  template <int N>
+  std::uint64_t take() {
+    if (bytes_.size() - pos_ < static_cast<std::size_t>(N))
+      throw std::runtime_error("journal corrupt: truncated");
+    std::uint64_t v = 0;
+    for (int i = 0; i < N; ++i) {
+      const auto byte = static_cast<unsigned char>(bytes_[pos_ + i]);
+      v |= static_cast<std::uint64_t>(byte) << (8 * i);
+    }
+    pos_ += N;
+    return v;
+  }
+
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
 
-void write_request(ByteWriter& w, const TenantRequest& req) {
+template <typename W>
+void write_request(W& w, const TenantRequest& req) {
   w.i32(req.num_vms);
   w.f64(req.guarantee.bandwidth.bps());
   w.i64(req.guarantee.burst.count());
@@ -166,7 +196,8 @@ TenantRequest read_request(ByteReader& r) {
   return req;
 }
 
-void write_lease(ByteWriter& w, const PacerLeaseRecord& l) {
+template <typename W>
+void write_lease(W& w, const PacerLeaseRecord& l) {
   w.u64(l.id);
   w.i64(l.owner);
   w.i64(l.borrower);
@@ -190,7 +221,8 @@ PacerLeaseRecord read_lease(ByteReader& r) {
   return l;
 }
 
-void write_snapshot(ByteWriter& w, const ControllerSnapshot& snap) {
+template <typename W>
+void write_snapshot(W& w, const ControllerSnapshot& snap) {
   w.u64(snap.engine.tenants.size());
   for (const auto& t : snap.engine.tenants) {
     w.i64(t.id);
@@ -282,10 +314,11 @@ ControllerSnapshot read_snapshot(ByteReader& r) {
   return snap;
 }
 
-std::string snapshot_bytes(const ControllerSnapshot& snap) {
-  ByteWriter w;
+/// FNV-1a of the snapshot's serialized bytes, streamed field by field.
+std::uint64_t snapshot_hash(const ControllerSnapshot& snap) {
+  ByteWriter<FnvSink> w;
   write_snapshot(w, snap);
-  return w.bytes();
+  return w.sink().hash();
 }
 
 }  // namespace
@@ -315,7 +348,7 @@ void DeltaJournal::compact(ControllerSnapshot snapshot) {
   // every record being dropped), then the snapshot bytes fold on top —
   // the chain stays continuous across any number of compactions.
   pre_snapshot_chain_ = chain_;
-  chain_ = mix64(chain_, fnv_bytes(snapshot_bytes(snapshot)));
+  chain_ = mix64(chain_, snapshot_hash(snapshot));
   snapshot_ = std::move(snapshot);
   records_.clear();
   m_snapshots_.inc();
@@ -323,7 +356,7 @@ void DeltaJournal::compact(ControllerSnapshot snapshot) {
 
 bool DeltaJournal::verify() const {
   std::uint64_t h = pre_snapshot_chain_;
-  if (snapshot_) h = mix64(h, fnv_bytes(snapshot_bytes(*snapshot_)));
+  if (snapshot_) h = mix64(h, snapshot_hash(*snapshot_));
   for (const auto& rec : records_) {
     h = record_chain(h, rec);
     if (h != rec.chain) return false;
@@ -332,7 +365,7 @@ bool DeltaJournal::verify() const {
 }
 
 std::string DeltaJournal::serialize() const {
-  ByteWriter w;
+  ByteWriter<StringSink> w;
   w.u64(kMagic);
   w.u32(kVersion);
   w.i64(m_appends_.value());
@@ -355,7 +388,7 @@ std::string DeltaJournal::serialize() const {
     w.u64(rec.chain);
   }
   w.u64(chain_);
-  return w.bytes();
+  return w.sink().take();
 }
 
 DeltaJournal DeltaJournal::deserialize(const std::string& bytes) {

@@ -5,6 +5,8 @@
 // (placement decisions, shipped pacer configs, metric counters).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -304,6 +306,271 @@ TEST(Journal, RecoveredControllerKeepsJournalingSeamlessly) {
   for (int s = 0; s < twin.topo().num_servers(); ++s)
     EXPECT_EQ(pacer_config_checksum(twin.server_config(s)),
               pacer_config_checksum(ctl->server_config(s)));
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot hashing. Compaction folds FNV-1a of the snapshot's serialized
+// bytes into the chain; the journal computes that hash while encoding,
+// without building the bytes. These tests re-derive it from serialize()
+// with their own FNV, so the streamed hash cannot drift from the codec.
+
+std::uint64_t oracle_fnv(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Fold the 8 little-endian bytes of `v` into `h` (the chain's mix step).
+std::uint64_t oracle_mix64(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t read_le64(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto byte = static_cast<unsigned char>(bytes[at + i]);
+    v |= static_cast<std::uint64_t>(byte) << (8 * i);
+  }
+  return v;
+}
+
+// serialize() layout: magic u64, version u32, four i64 counters, the
+// pre-snapshot chain u64, a has-snapshot u8, the snapshot, the record
+// count u64, the records, and the chain head u64.
+constexpr std::size_t kPreChainAt = 8 + 4 + 4 * 8;
+constexpr std::size_t kSnapshotAt = kPreChainAt + 8 + 1;
+/// Bytes after the snapshot when no record follows it.
+constexpr std::size_t kEmptyTail = 8 + 8;
+
+/// A fixed journaled history that leaves failed hardware, non-guaranteed
+/// tenants and an active lease behind, so a snapshot taken after it
+/// exercises every section of the codec. Returns the live tenant ids.
+std::vector<placement::TenantId> fixed_history(SiloController& ctl) {
+  Rng rng(17);
+  std::vector<placement::TenantId> live;
+  for (int i = 0; i < 24; ++i)
+    if (const auto h = ctl.admit(sample_request(rng))) live.push_back(h->id);
+  TenantHandle gone;
+  gone.id = live[3];
+  ctl.release(gone);
+  live.erase(live.begin() + 3);
+  ctl.handle_server_failure(0);
+  ctl.handle_server_failure(5);
+  ctl.restore_server(0);
+  ctl.handle_link_failure(ctl.topo().server_down(9));
+  // Lend between the first pair that validates (colocated, guaranteed).
+  const auto lend = [&] {
+    for (const auto owner : live) {
+      for (const auto borrower : live) {
+        const int vms = static_cast<int>(ctl.tenant_placement(borrower).size());
+        for (int v = 0; v < vms && owner != borrower; ++v) {
+          if (ctl.grant_lease(owner, borrower, v, 100 * kMbps, 4)) return;
+        }
+      }
+    }
+  };
+  lend();
+  ctl.advance_lease_epoch();
+  return live;
+}
+
+TEST(JournalSnapshotHash, CompactionFoldsFnvOfSerializedSnapshotBytes) {
+  SiloController ctl(small_dc());
+  DeltaJournal journal;
+  ctl.attach_journal(&journal);
+  const auto live = fixed_history(ctl);
+  ASSERT_FALSE(ctl.active_leases().empty());
+  ASSERT_GT(ctl.stats().degraded_tenants + ctl.stats().unplaced_tenants, 0);
+
+  // Two compactions: the second chains from the first's snapshot.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("compaction " + std::to_string(round));
+    const std::uint64_t before = journal.chain();
+    journal.compact(ctl.snapshot());
+    const std::string bytes = journal.serialize();
+    ASSERT_GT(bytes.size(), kSnapshotAt + kEmptyTail);
+    EXPECT_EQ(read_le64(bytes, kPreChainAt), before);
+    EXPECT_EQ(bytes[kSnapshotAt - 1], 1);  // has-snapshot flag
+    EXPECT_EQ(read_le64(bytes, bytes.size() - kEmptyTail), 0u);  // no records
+    const std::string snap =
+        bytes.substr(kSnapshotAt, bytes.size() - kSnapshotAt - kEmptyTail);
+    EXPECT_EQ(journal.chain(), oracle_mix64(before, oracle_fnv(snap)));
+    EXPECT_EQ(read_le64(bytes, bytes.size() - 8), journal.chain());
+    EXPECT_TRUE(journal.verify());
+
+    TenantHandle h;
+    h.id = live[static_cast<std::size_t>(round)];
+    ctl.release(h);
+    ctl.handle_server_failure(2 + round);
+  }
+}
+
+TEST(JournalSnapshotHash, CompactionChainAndBytesMatchPinnedGolden) {
+  // Values recorded with the byte-string snapshot hash that the streamed
+  // hash replaced; any change to the chain function or to a serialized
+  // byte moves them.
+  SiloController ctl(small_dc());
+  DeltaJournal journal;
+  ctl.attach_journal(&journal);
+  fixed_history(ctl);
+  journal.compact(ctl.snapshot());
+  Rng rng(29);
+  for (int i = 0; i < 3; ++i) ctl.admit(sample_request(rng));
+  EXPECT_EQ(journal.chain(), 0x860b610e2007ade1ull);
+  EXPECT_EQ(oracle_fnv(journal.serialize()), 0x3ce26ab05fe1dd93ull);
+}
+
+std::string corruption_message(const std::string& bytes) {
+  try {
+    DeltaJournal::deserialize(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(JournalCodec, EveryCorruptionIsReportedByName) {
+  SiloController ctl(small_dc());
+  DeltaJournal journal;
+  ctl.attach_journal(&journal, /*snapshot_every=*/5);
+  fixed_history(ctl);
+  ASSERT_TRUE(journal.has_snapshot());
+  ASSERT_FALSE(journal.records().empty());
+  const std::string blob = journal.serialize();
+  ASSERT_EQ(corruption_message(blob), "accepted");
+
+  std::string bad = blob;
+  bad[0] = static_cast<char>(bad[0] ^ 1);
+  EXPECT_EQ(corruption_message(bad), "journal corrupt: bad magic");
+  bad = blob;
+  bad[8] = static_cast<char>(bad[8] + 1);
+  EXPECT_EQ(corruption_message(bad), "journal corrupt: unknown version");
+  EXPECT_EQ(corruption_message(blob + '\0'), "journal corrupt: trailing bytes");
+  // The first snapshot count (engine tenants) claims more elements than
+  // there are bytes left.
+  bad = blob;
+  bad[kSnapshotAt + 7] = static_cast<char>(0x7f);
+  EXPECT_EQ(corruption_message(bad), "journal corrupt: implausible count");
+  // A flipped bit in the last record's chain value.
+  bad = blob;
+  bad[blob.size() - 9] = static_cast<char>(bad[blob.size() - 9] ^ 0x10);
+  EXPECT_EQ(corruption_message(bad),
+            "journal corrupt: chain checksum mismatch");
+
+  // Every strict prefix is rejected: fields are read whole, so a cut
+  // anywhere, even inside a field, reads as truncation (or as a count
+  // the remaining bytes cannot hold), never as a shorter valid journal.
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    const std::string what = corruption_message(blob.substr(0, cut));
+    ASSERT_TRUE(what == "journal corrupt: truncated" ||
+                what == "journal corrupt: implausible count")
+        << "cut at " << cut << ": " << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The non-guaranteed index: stats() and restore recovery sets are read from
+// per-status tenant sets kept on every status change. Through a seeded
+// storm of overlapping failures, both must equal a from-scratch scan of
+// tenant_status() over the live tenants.
+
+TEST(ControllerStatusIndex, MatchesFromScratchScanThroughFailureStorm) {
+  int saw_degraded = 0;
+  int saw_unplaced = 0;
+  int nonempty_restores = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SiloController ctl(small_dc());
+    Rng rng(seed);
+    std::vector<placement::TenantId> live;
+    std::vector<int> failed_servers;
+    std::vector<topology::PortId> failed_ports;
+    struct Scan {
+      std::vector<placement::TenantId> degraded, unplaced, non_guaranteed;
+    };
+    const auto scan = [&] {
+      Scan out;
+      for (const auto id : live) {
+        const auto status = ctl.tenant_status(id);
+        if (status == TenantStatus::kDegraded) out.degraded.push_back(id);
+        if (status == TenantStatus::kUnplaced) out.unplaced.push_back(id);
+        if (status != TenantStatus::kGuaranteed)
+          out.non_guaranteed.push_back(id);
+      }
+      std::sort(out.non_guaranteed.begin(), out.non_guaranteed.end());
+      return out;
+    };
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const auto random_server = [&] {
+      return static_cast<int>(rng.uniform_int(0, ctl.topo().num_servers() - 1));
+    };
+
+    for (int op = 0; op < 300; ++op) {
+      const auto roll = rng.uniform_int(0, 9);
+      if (roll < 4 || live.empty()) {
+        if (const auto h = ctl.admit(sample_request(rng)))
+          live.push_back(h->id);
+      } else if (roll < 5) {
+        const std::size_t i = pick(live.size());
+        TenantHandle h;
+        h.id = live[i];
+        ctl.release(h);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (roll < 7) {
+        const int server = random_server();
+        if (std::find(failed_servers.begin(), failed_servers.end(), server) ==
+            failed_servers.end()) {
+          ctl.handle_server_failure(server);
+          failed_servers.push_back(server);
+        }
+      } else if (roll < 8) {
+        const auto port = ctl.topo().server_down(random_server());
+        if (std::find(failed_ports.begin(), failed_ports.end(), port) ==
+            failed_ports.end()) {
+          ctl.handle_link_failure(port);
+          failed_ports.push_back(port);
+        }
+      } else if (!failed_servers.empty() || !failed_ports.empty()) {
+        const auto expected = scan().non_guaranteed;
+        const std::size_t i = pick(failed_servers.size() + failed_ports.size());
+        RecoveryReport report;
+        if (i < failed_servers.size()) {
+          report = ctl.restore_server(failed_servers[i]);
+          failed_servers.erase(failed_servers.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+        } else {
+          const std::size_t j = i - failed_servers.size();
+          report = ctl.restore_link(failed_ports[j]);
+          failed_ports.erase(failed_ports.begin() +
+                             static_cast<std::ptrdiff_t>(j));
+        }
+        EXPECT_EQ(report.affected, expected) << "op " << op;
+        if (!expected.empty()) ++nonempty_restores;
+      }
+      const Scan now = scan();
+      const auto stats = ctl.stats();
+      ASSERT_EQ(stats.degraded_tenants, static_cast<int>(now.degraded.size()))
+          << "op " << op;
+      ASSERT_EQ(stats.unplaced_tenants, static_cast<int>(now.unplaced.size()))
+          << "op " << op;
+      if (!now.degraded.empty()) ++saw_degraded;
+      if (!now.unplaced.empty()) ++saw_unplaced;
+    }
+  }
+  // The storm must actually reach every state it claims to check.
+  EXPECT_GT(saw_degraded, 0);
+  EXPECT_GT(saw_unplaced, 0);
+  EXPECT_GT(nonempty_restores, 0);
 }
 
 }  // namespace
