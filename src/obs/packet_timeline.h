@@ -18,11 +18,19 @@
 // never skips time, pacing + queueing + serialization == delivery_time -
 // emitted *exactly*, in integer nanoseconds — the property bench_breakdown
 // asserts to within 1 ns after per-message aggregation.
+//
+// To touch a record once per hop, `t` may lie in the past or a little in
+// the future: a switch port charges a whole hop at tx-done (queueing up to
+// tx start, serialization through propagation to the next hop), and the
+// NIC charges at batch build through arrival at the ToR. Nothing reads or
+// charges the record while its packet is on the wire, so the totals are
+// the same integers as charging each segment when it ends.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "util/prefetch.h"
 #include "util/units.h"
 
 namespace silo::obs {
@@ -69,6 +77,14 @@ class PacketTimeline {
         break;
     }
     st.mark = now;
+  }
+
+  /// Start loading slot `h`'s record ahead of an advance() a hop away.
+  /// No bounds check: a prefetch past the table is harmless.
+  void prefetch(std::uint32_t h) const {
+    prefetch_object(reinterpret_cast<std::uintptr_t>(stages_.data()) +
+                        std::uintptr_t{h} * sizeof(PacketStages),
+                    sizeof(PacketStages));
   }
 
   /// Re-seed a slot from a snapshot taken in another arena. Cross-island

@@ -915,10 +915,8 @@ bool ClusterSim::offer_cross_island(SwitchPortSim& port, PacketHandle h,
 
 void ClusterSim::island_arrival(int island, PacketHandle h) {
   IslandState& isl = *islands_[static_cast<std::size_t>(island)];
-  // The propagation across the boundary is wire time, exactly as a local
-  // kPortDeliver would have charged it.
-  isl.events.timeline().advance(PacketPool::slot_of(h), isl.events.now(),
-                                obs::Stage::kSerialization);
+  // The propagation across the boundary was charged to serialization at
+  // tx-done, before the stages were snapshotted into the mailbox record.
   fabric_->advance_from_gateway(island, isl.events, h);
 }
 

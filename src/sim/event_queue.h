@@ -140,6 +140,7 @@ class EventQueue {
     now_ = ev.time;
     ++processed_;
     --size_;
+    prefetch_next();
     dispatch(ev);
     return true;
   }
@@ -152,6 +153,7 @@ class EventQueue {
       now_ = ev.time;
       ++processed_;
       --size_;
+      prefetch_next();
       dispatch(ev);
     }
     if (now_ < deadline) now_ = deadline;
@@ -204,6 +206,26 @@ class EventQueue {
 #else
     (void)t;
 #endif
+  }
+
+  /// Start loading the packet state the next due event will touch while
+  /// this one runs (~one event of lead time): the packet a delivery or an
+  /// ingress routes, the stage record a tx-done charges.
+  void prefetch_next() const {
+    if (due_head_ == due_.size()) return;
+    const Event& next = due_[due_head_];
+    switch (next.kind) {
+      case EventKind::kPortDeliver:
+      case EventKind::kHostIngress:
+      case EventKind::kIslandArrival:
+        pool_.prefetch(next.arg);
+        break;
+      case EventKind::kPortTxDone:
+        timeline_.prefetch(PacketPool::slot_of(next.arg));
+        break;
+      default:
+        break;
+    }
   }
 
   void push(const Event& ev);

@@ -4,6 +4,14 @@
 
 namespace silo::sim {
 
+namespace {
+
+// NIC slot ids are the packet handle, tagged with whether a pacer released
+// it, so the batch builder attributes the wait without a packet load.
+constexpr std::uint64_t kPacedSlot = std::uint64_t{1} << 32;
+
+}  // namespace
+
 Fabric::Fabric(const topology::Topology& topo,
                const PortConfig& port_template, std::vector<int> port_island,
                const std::vector<EventQueue*>& island_queues)
@@ -101,13 +109,14 @@ void Host::set_up(bool up) {
   // vswitch all hold live handles that must go back to the pool.
   for (auto& [vm, v] : tx_) {
     for (auto& [dst, dq] : v.dests) {
-      for (const PacketHandle h : dq.q) drop_faulted(h);
+      for (std::uint32_t i = 0; i < dq.q.size(); ++i)
+        drop_faulted(dq.q[i].handle);
       dq.q.clear();
       dq.bytes = Bytes{0};
     }
   }
   for (const std::uint64_t id : nic_.drain())
-    drop_faulted(static_cast<PacketHandle>(id));
+    drop_faulted(static_cast<PacketHandle>(id));  // drops the paced tag
   loopback_->set_link_up(false);
 }
 
@@ -131,9 +140,9 @@ void Host::send(PacketHandle h) {
     loopback_->enqueue(h);
     return;
   }
-  if (pacers_.count(p.src_vm) > 0) {
+  if (VmTx* v = tx_.find(p.src_vm)) {
     const int vm = p.src_vm;
-    auto& dq = tx_[vm].dests[p.dst_vm];
+    auto& dq = v->dests[p.dst_vm];
     if (dq.bytes + p.wire_bytes > cfg_.pacer_queue_cap) {
       ++pacer_drops_;  // finite driver queue
       metrics_.pacer_drops.inc();
@@ -143,14 +152,15 @@ void Host::send(PacketHandle h) {
       return;
     }
     dq.bytes += p.wire_bytes;
-    dq.q.push_back(h);
+    dq.q.push_back({h, static_cast<std::uint32_t>(p.wire_bytes.count())});
     schedule_release(vm);
     return;
   }
-  hand_to_nic(h, events_.now());
+  hand_to_nic(h, p.wire_bytes, events_.now(), /*paced=*/false);
 }
 
-void Host::hand_to_nic(PacketHandle h, TimeNs release) {
+void Host::hand_to_nic(PacketHandle h, Bytes wire, TimeNs release,
+                       bool paced) {
   if (release > events_.now()) metrics_.throttled.inc();
   if (obs::FlightRecorder* r = events_.flight_recorder()) {
     const Packet& p = events_.pool().get(h);
@@ -166,19 +176,19 @@ void Host::hand_to_nic(PacketHandle h, TimeNs release) {
     r->record(e);
   }
   // The NIC slot id *is* the packet handle — no side map needed.
-  nic_.enqueue(release, events_.pool().get(h).wire_bytes, h);
+  nic_.enqueue(release, wire, paced ? h | kPacedSlot : h);
   kick();
 }
 
 void Host::schedule_release(int vm) {
-  auto& v = tx_[vm];
-  auto* pacer = pacers_.at(vm);
+  auto& v = *tx_.find(vm);
+  auto* pacer = v.pacer;
   // Earliest conformance over the head packets of all destination queues.
   TimeNs best {-1};
   for (auto& [dst, dq] : v.dests) {
     if (dq.q.empty()) continue;
-    const TimeNs t = pacer->peek(events_.now(), dst,
-                                 events_.pool().get(dq.q.front()).wire_bytes);
+    const TimeNs t =
+        pacer->peek(events_.now(), dst, Bytes{dq.q.front().wire});
     if (best < TimeNs{0} || t < best) best = t;
   }
   if (best < TimeNs{0}) return;  // all queues empty
@@ -194,10 +204,10 @@ void Host::schedule_release(int vm) {
 }
 
 void Host::handle_release(int vm, std::uint64_t generation) {
-  auto& v = tx_[vm];
+  auto& v = *tx_.find(vm);
   if (generation != v.generation || !v.release_scheduled) return;
   v.release_scheduled = false;
-  auto* pacer = pacers_.at(vm);
+  auto* pacer = v.pacer;
   // Re-derive the winner at release time (arrivals may have changed it).
   // Backlogged destinations tie on the shared-bucket conformance time, so
   // ties rotate round-robin after the last served destination — a strict
@@ -206,8 +216,8 @@ void Host::handle_release(int vm, std::uint64_t generation) {
   int best_dst = -1;
   for (auto& [dst, dq] : v.dests) {
     if (dq.q.empty()) continue;
-    const TimeNs t = pacer->peek(events_.now(), dst,
-                                 events_.pool().get(dq.q.front()).wire_bytes);
+    const TimeNs t =
+        pacer->peek(events_.now(), dst, Bytes{dq.q.front().wire});
     const bool wins =
         best < TimeNs{0} || t < best ||
         (t == best && best_dst <= v.last_served && dst > v.last_served);
@@ -226,28 +236,24 @@ void Host::handle_release(int vm, std::uint64_t generation) {
     schedule_release(vm);
     return;
   }
-  auto& dq = v.dests[best_dst];
-  const PacketHandle h = dq.q.front();
-  dq.q.pop_front();
-  dq.bytes -= events_.pool().get(h).wire_bytes;
-  const TimeNs release =
-      pacer->stamp(events_.now(), best_dst, events_.pool().get(h).wire_bytes);
-  hand_to_nic(h, release);
+  auto& dq = *v.dests.find(best_dst);
+  const QueuedPacket e = dq.q.pop_front();
+  const Bytes wire{e.wire};
+  dq.bytes -= wire;
+  const TimeNs release = pacer->stamp(events_.now(), best_dst, wire);
+  hand_to_nic(e.handle, wire, release, /*paced=*/true);
   schedule_release(vm);
 }
 
 TimeNs Host::pacer_delay(TimeNs now, int src_vm, int dst_vm, Bytes bytes) {
-  auto it = pacers_.find(src_vm);
-  if (it == pacers_.end()) return TimeNs{0};
-  const TimeNs head_wait = it->second->peek(now, dst_vm, bytes) - now;
-  auto vt = tx_.find(src_vm);
-  if (vt == tx_.end()) return head_wait;
-  auto dt = vt->second.dests.find(dst_vm);
-  if (dt == vt->second.dests.end()) return head_wait;
+  VmTx* v = tx_.find(src_vm);
+  if (v == nullptr) return TimeNs{0};
+  const TimeNs head_wait = v->pacer->peek(now, dst_vm, bytes) - now;
+  const DestQueue* dq = v->dests.find(dst_vm);
+  if (dq == nullptr) return head_wait;
   // Queued bytes drain at (at least) the VM's hose rate.
-  const double drain =
-      static_cast<double>(dt->second.bytes + bytes) * 8e9 /
-      it->second->guarantee().bandwidth.bps();
+  const double drain = static_cast<double>(dq->bytes + bytes) * 8e9 /
+                       v->pacer->guarantee().bandwidth.bps();
   return head_wait + static_cast<TimeNs>(drain);
 }
 
@@ -285,16 +291,16 @@ void Host::run_batch() {
     metrics_.data_packets.inc();
     const auto h = static_cast<PacketHandle>(slot.id);
     // Emit -> wire start: pacing delay for paced VMs (token wait + batch
-    // alignment), sender-NIC queueing for unpaced ones. Wire start -> end
-    // is the NIC's serialization time.
-    const bool paced = pacers_.count(events_.pool().get(h).src_vm) > 0;
+    // alignment), sender-NIC queueing for unpaced ones. Wire start -> ToR
+    // arrival is the NIC's serialization time plus propagation.
+    const bool paced = (slot.id & kPacedSlot) != 0;
+    const TimeNs at_tor = slot.end + cfg_.tor_link_delay;
     events_.timeline().advance(
         PacketPool::slot_of(h), slot.start,
         paced ? obs::Stage::kPacing : obs::Stage::kQueueing);
-    events_.timeline().advance(PacketPool::slot_of(h), slot.end,
+    events_.timeline().advance(PacketPool::slot_of(h), at_tor,
                                obs::Stage::kSerialization);
-    events_.schedule(slot.end + cfg_.tor_link_delay, EventKind::kHostIngress,
-                     this, h);
+    events_.schedule(at_tor, EventKind::kHostIngress, this, h);
   }
   const TimeNs batch_end = slots.back().end;
   events_.schedule(batch_end, EventKind::kHostBatchEnd, this);
@@ -306,9 +312,7 @@ void Host::handle_batch_end() {
 }
 
 void Host::handle_ingress(PacketHandle h) {
-  // Server -> ToR propagation is wire time.
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  // Server -> ToR propagation was charged to serialization at batch build.
   if (!up_) {
     // The server died after this frame was scheduled onto the wire.
     drop_faulted(h);

@@ -6,17 +6,17 @@
 // the pacer queues and the wire.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "pacer/paced_nic.h"
 #include "pacer/vm_pacer.h"
 #include "sim/event_queue.h"
+#include "sim/int_map.h"
 #include "sim/packet.h"
 #include "sim/packet_pool.h"
+#include "sim/packet_ring.h"
 #include "sim/port.h"
 #include "topology/topology.h"
 
@@ -131,7 +131,7 @@ class Host {
   /// Register the pacer enforcing a hosted VM's guarantees (Silo/Oktopus
   /// schemes). Unpaced VMs simply have no entry.
   void attach_pacer(int global_vm, pacer::VmPacer* pacer) {
-    pacers_[global_vm] = pacer;
+    tx_[global_vm].pacer = pacer;
   }
 
   /// Hypervisor side of the incremental config protocol: fold a controller
@@ -176,12 +176,15 @@ class Host {
   // single scheduler releases them in conformance order — charging the
   // shared {B, S} bucket in *release* order keeps it work-conserving
   // across destinations (per-flow future stamping would serialize them).
+  // Entries carry their wire size, so picking and stamping the head of
+  // each destination queue never loads a packet from the arena.
   struct DestQueue {
-    std::deque<PacketHandle> q;
+    PacketRing q;
     Bytes bytes {};
   };
   struct VmTx {
-    std::map<int, DestQueue> dests;
+    pacer::VmPacer* pacer = nullptr;
+    IntMap<DestQueue> dests;  ///< ascending dst: the round-robin tie order
     bool release_scheduled = false;
     TimeNs scheduled_at {};
     std::uint64_t generation = 0;
@@ -195,7 +198,7 @@ class Host {
   void handle_build(std::uint64_t generation);
   void handle_batch_end();
   void handle_ingress(PacketHandle h);
-  void hand_to_nic(PacketHandle h, TimeNs release);
+  void hand_to_nic(PacketHandle h, Bytes wire, TimeNs release, bool paced);
 
   EventQueue& events_;
   Fabric& fabric_;
@@ -203,8 +206,7 @@ class Host {
   Config cfg_;
   pacer::PacedNic nic_;
   std::unique_ptr<SwitchPortSim> loopback_;
-  std::map<int, pacer::VmPacer*> pacers_;
-  std::map<int, VmTx> tx_;
+  IntMap<VmTx> tx_;  ///< paced VMs hosted here, by global VM id
   std::int64_t pacer_drops_ = 0;
   std::int64_t fault_drops_ = 0;
   HostMetricHooks metrics_;

@@ -45,10 +45,10 @@ void SwitchPortSim::enqueue_pfabric(PacketHandle h) {
       pool.free(h);
       return;
     }
-    const auto worst =
-        pfabric_queue_.lower_bound(PfEntry{worst_remaining, 0, kNullPacket});
-    queued_bytes_ -= pool.get(worst->handle).wire_bytes;
-    audit_leave(pool.get(worst->handle).wire_bytes);
+    const auto worst = pfabric_queue_.lower_bound(
+        PfEntry{worst_remaining, 0, kNullPacket, 0});
+    queued_bytes_ -= Bytes{worst->wire};
+    audit_leave(Bytes{worst->wire});
     ++stats_.drops;
     metrics_.drops.inc();
     record_flight(events_, pool.get(worst->handle),
@@ -69,7 +69,9 @@ void SwitchPortSim::enqueue_pfabric(PacketHandle h) {
   metrics_.peak_queue_bytes.set_max(queued_bytes_.count());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
   record_flight(events_, p, obs::FlightEventType::kEnqueued, location_);
-  pfabric_queue_.insert(PfEntry{p.remaining, pfabric_arrivals_++, h});
+  pfabric_queue_.insert(
+      PfEntry{p.remaining, pfabric_arrivals_++, h,
+              static_cast<std::uint32_t>(p.wire_bytes.count())});
   if (!busy_) start_tx();
 }
 
@@ -87,28 +89,23 @@ void SwitchPortSim::set_link_up(bool up) {
 }
 
 void SwitchPortSim::flush_queues() {
-  PacketPool& pool = events_.pool();
   for (auto& q : queue_) {
-    for (const PacketHandle h : q) {
-      ++stats_.fault_drops;
-      metrics_.fault_drops.inc();
-      audit_leave(pool.get(h).wire_bytes);
-      record_flight(events_, pool.get(h), obs::FlightEventType::kDropped,
-                    location_, /*fault=*/true);
-      pool.free(h);
-    }
+    for (std::uint32_t i = 0; i < q.size(); ++i)
+      drop_flushed(q[i].handle, Bytes{q[i].wire});
     q.clear();
   }
-  for (const auto& e : pfabric_queue_) {
-    ++stats_.fault_drops;
-    metrics_.fault_drops.inc();
-    audit_leave(pool.get(e.handle).wire_bytes);
-    record_flight(events_, pool.get(e.handle), obs::FlightEventType::kDropped,
-                  location_, /*fault=*/true);
-    pool.free(e.handle);
-  }
+  for (const auto& e : pfabric_queue_) drop_flushed(e.handle, Bytes{e.wire});
   pfabric_queue_.clear();
   queued_bytes_ = Bytes{0};
+}
+
+void SwitchPortSim::drop_flushed(PacketHandle h, Bytes wire) {
+  ++stats_.fault_drops;
+  metrics_.fault_drops.inc();
+  audit_leave(wire);
+  record_flight(events_, events_.pool().get(h), obs::FlightEventType::kDropped,
+                location_, /*fault=*/true);
+  events_.pool().free(h);
 }
 
 void SwitchPortSim::enqueue(PacketHandle h) {
@@ -147,43 +144,44 @@ void SwitchPortSim::enqueue(PacketHandle h) {
   metrics_.peak_queue_bytes.set_max(queued_bytes_.count());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
   record_flight(events_, p, obs::FlightEventType::kEnqueued, location_);
-  queue_[static_cast<int>(p.priority)].push_back(h);
+  queue_[static_cast<int>(p.priority)].push_back(
+      {h, static_cast<std::uint32_t>(p.wire_bytes.count())});
   if (!busy_) start_tx();
 }
 
-PacketHandle SwitchPortSim::dequeue_next() {
+QueuedPacket SwitchPortSim::dequeue_next() {
   if (cfg_.pfabric) {
-    if (pfabric_queue_.empty()) return kNullPacket;
+    if (pfabric_queue_.empty()) return {};
     // Head of the set: fewest remaining bytes, earliest arrival among ties.
     const auto best = pfabric_queue_.begin();
-    const PacketHandle h = best->handle;
+    const QueuedPacket e{best->handle, best->wire};
     pfabric_queue_.erase(best);
-    return h;
+    return e;
   }
   auto& q = !queue_[0].empty() ? queue_[0] : queue_[1];
-  if (q.empty()) return kNullPacket;
-  const PacketHandle h = q.front();
-  q.pop_front();
-  return h;
+  if (q.empty()) return {};
+  return q.pop_front();
 }
 
 void SwitchPortSim::start_tx() {
-  const PacketHandle h = dequeue_next();
-  if (h == kNullPacket) {
+  const QueuedPacket e = dequeue_next();
+  if (e.handle == kNullPacket) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  const Packet& p = events_.pool().get(h);
-  queued_bytes_ -= p.wire_bytes;
-  audit_leave(p.wire_bytes);
+  tx_wire_ = Bytes{e.wire};
+  queued_bytes_ -= tx_wire_;
+  audit_leave(tx_wire_);
   audit_conserved();
-  // Everything since the port accepted the packet was queue wait.
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kQueueing);
-  record_flight(events_, p, obs::FlightEventType::kDequeued, location_);
-  const TimeNs tx = transmission_time(p.wire_bytes + kEthOverhead, cfg_.rate);
-  events_.schedule_after(tx, EventKind::kPortTxDone, this, h);
+  // The packet and its stage record are next needed at tx-done: start
+  // loading them now rather than stalling on them here.
+  events_.pool().prefetch(e.handle);
+  events_.timeline().prefetch(PacketPool::slot_of(e.handle));
+  record_flight(events_, events_.pool().get(e.handle),
+                obs::FlightEventType::kDequeued, location_);
+  tx_time_ = transmission_time(tx_wire_ + kEthOverhead, cfg_.rate);
+  events_.schedule_after(tx_time_, EventKind::kPortTxDone, this, e.handle);
 }
 
 void SwitchPortSim::handle_tx_done(PacketHandle h) {
@@ -198,16 +196,23 @@ void SwitchPortSim::handle_tx_done(PacketHandle h) {
     return;
   }
   ++stats_.tx_packets;
-  stats_.tx_bytes += events_.pool().get(h).wire_bytes.count();
+  stats_.tx_bytes += tx_wire_.count();
   metrics_.tx_packets.inc();
-  metrics_.tx_bytes.inc(events_.pool().get(h).wire_bytes.count());
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  metrics_.tx_bytes.inc(tx_wire_.count());
+  // The whole hop is charged here, in the one touch of the packet's stage
+  // record: from the port accepting the packet to tx start (tx_time_ ago)
+  // was queue wait; transmission plus propagation to the next hop is wire
+  // time. Nothing else can touch the record while the packet propagates.
+  obs::PacketTimeline& timeline = events_.timeline();
+  const std::uint32_t slot = PacketPool::slot_of(h);
+  const TimeNs now = events_.now();
+  const TimeNs deliver_at = now + cfg_.link_delay;
+  timeline.advance(slot, now - tx_time_, obs::Stage::kQueueing);
+  timeline.advance(slot, deliver_at, obs::Stage::kSerialization);
   // Cross-island egress: if a handoff hook claims the packet, it leaves
   // this island here and re-enters the destination island's queue at the
   // same absolute time a local kPortDeliver would have fired.
-  if (handoff_ != nullptr &&
-      handoff_->offer(*this, h, events_.now() + cfg_.link_delay)) {
+  if (handoff_ != nullptr && handoff_->offer(*this, h, deliver_at)) {
     start_tx();
     return;
   }
@@ -218,9 +223,7 @@ void SwitchPortSim::handle_tx_done(PacketHandle h) {
 }
 
 void SwitchPortSim::handle_deliver(PacketHandle h) {
-  // Charge the propagation delay to serialization (wire time, not queue).
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  // Propagation was charged to serialization at tx-done.
   deliver_(h);  // ownership moves to the next hop
 }
 

@@ -4,9 +4,14 @@
 // Packets are pool handles; transmission and propagation self-schedule as
 // typed events (kPortTxDone / kPortDeliver) — nothing on the per-packet
 // path allocates. The deliver callback receives ownership of the handle.
+//
+// Memory-touch contract: a queued packet's wire size rides in its queue
+// entry and the packet on the wire has its size and tx time kept on the
+// port, so dequeue and tx-start never load the packet from the arena; they
+// prefetch it and its timeline record instead. Tx-done charges the whole
+// hop (queueing, transmission, propagation) in one touch of that record.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <set>
 
@@ -15,6 +20,7 @@
 #include "sim/event_queue.h"
 #include "sim/packet.h"
 #include "sim/packet_pool.h"
+#include "sim/packet_ring.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -144,6 +150,7 @@ class SwitchPortSim {
     std::int64_t remaining;
     std::uint64_t arrival;
     PacketHandle handle;
+    std::uint32_t wire;
     bool operator<(const PfEntry& o) const {
       return remaining != o.remaining ? remaining < o.remaining
                                       : arrival < o.arrival;
@@ -173,16 +180,19 @@ class SwitchPortSim {
   void handle_tx_done(PacketHandle h);
   void handle_deliver(PacketHandle h);
   void enqueue_pfabric(PacketHandle h);
-  PacketHandle dequeue_next();
+  QueuedPacket dequeue_next();
   void flush_queues();
+  void drop_flushed(PacketHandle h, Bytes wire);
 
   EventQueue& events_;
   PortConfig cfg_;
   DeliverFn deliver_;
-  std::deque<PacketHandle> queue_[2];  ///< [0]=guaranteed, [1]=best effort
+  PacketRing queue_[2];  ///< [0]=guaranteed, [1]=best effort
   std::set<PfEntry> pfabric_queue_;
   std::uint64_t pfabric_arrivals_ = 0;
   Bytes queued_bytes_ {};
+  Bytes tx_wire_ {};  ///< wire bytes of the packet on the wire (when busy_)
+  TimeNs tx_time_ {};  ///< its transmission time; tx started tx_time_ ago
   bool busy_ = false;
   bool link_up_ = true;
   double loss_rate_ = 0;

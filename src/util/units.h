@@ -271,9 +271,11 @@ inline constexpr RateBps kGbps{1e9};
 /// whole nanosecond so that back-to-back transmissions never overlap.
 ///
 /// Integral rates (every realistic link or guarantee rate) take an exact
-/// 128-bit ceil-division path: the previous double round-trip lost
-/// exactness once `bytes * 8e9` exceeded 2^53 (~1.1 MB payloads).
-/// Fractional rates keep the legacy correctly-rounded double path.
+/// ceil-division path: the previous double round-trip lost exactness once
+/// `bytes * 8e9` exceeded 2^53 (~1.1 MB payloads). Sizes up to 2^30 B
+/// (every packet) keep `bytes * 8e9` within int64 and divide in 64 bits;
+/// larger ones divide in 128 bits. Fractional rates keep the legacy
+/// correctly-rounded double path.
 constexpr TimeNs transmission_time(Bytes bytes, RateBps bps) {
   if (bps.bps() <= 0.0) return TimeNs{0};
   const double r = bps.bps();
@@ -281,8 +283,13 @@ constexpr TimeNs transmission_time(Bytes bytes, RateBps bps) {
   if (r >= 1.0 && r < kMaxIntegralRate &&
       r == static_cast<double>(static_cast<std::int64_t>(r))) {
     const auto den = static_cast<std::int64_t>(r);
-    const auto num = static_cast<__int128>(bytes.count()) * 8 * 1000000000;
-    if (num <= 0) return TimeNs{0};
+    const std::int64_t b = bytes.count();
+    if (b <= 0) return TimeNs{0};
+    if (b <= (std::int64_t{1} << 30)) {
+      const std::int64_t num = b * 8 * 1000000000;
+      return TimeNs{num / den + (num % den != 0)};
+    }
+    const auto num = static_cast<__int128>(b) * 8 * 1000000000;
     return TimeNs{static_cast<std::int64_t>((num + den - 1) / den)};
   }
   const double ns = static_cast<double>(bytes.count()) * 8.0 * 1e9 / r;

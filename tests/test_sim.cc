@@ -283,6 +283,202 @@ TEST(SwitchPort, PfabricEvictsLargestOnOverflow) {
   for (auto r : delivered) urgent += r < 100;
   EXPECT_EQ(urgent, 3);
 }
+
+/// Allocate a copy of `p` whose stages the timeline tracks from `now`.
+PacketHandle tracked_clone(EventQueue& ev, const Packet& p) {
+  const PacketHandle h = ev.pool().clone(p);
+  ev.timeline().on_emit(PacketPool::slot_of(h), ev.now(), false);
+  return h;
+}
+
+TEST(SwitchPort, ChainChargesExactPerHopStages) {
+  // Two tracked packets through a two-port chain, both accepted at t=0.
+  // Every hop is serialization (tx time) plus link delay; the second
+  // packet additionally waits exactly the first one's tx time at the
+  // first port, and never at the second (it arrives as the first leaves).
+  EventQueue ev;
+  const PortConfig cfg = port_10g();
+  std::vector<obs::PacketStages> delivered;
+  std::vector<TimeNs> at;
+  SwitchPortSim second(ev, cfg, [&](PacketHandle h) {
+    delivered.push_back(ev.timeline().stages(PacketPool::slot_of(h)));
+    at.push_back(ev.now());
+    ev.pool().free(h);
+  });
+  SwitchPortSim first(ev, cfg, [&](PacketHandle h) { second.enqueue(h); });
+  first.enqueue(tracked_clone(ev, data_packet(0)));
+  first.enqueue(tracked_clone(ev, data_packet(1)));
+  ev.run_all();
+
+  const TimeNs tx = transmission_time(Bytes{1500} + kEthOverhead, cfg.rate);
+  ASSERT_EQ(tx, TimeNs{1231});
+  ASSERT_EQ(delivered.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(delivered[i].pacing_ns, TimeNs{0}) << i;
+    EXPECT_EQ(delivered[i].serial_ns, 2 * (tx + cfg.link_delay)) << i;
+    EXPECT_EQ(delivered[i].queue_ns + delivered[i].serial_ns, at[i]) << i;
+  }
+  EXPECT_EQ(delivered[0].queue_ns, TimeNs{0});
+  EXPECT_EQ(delivered[1].queue_ns, tx);
+  EXPECT_EQ(ev.pool().live(), 0);
+}
+
+TEST(SwitchPort, LinkDownMidTransmissionChargesNoStage) {
+  EventQueue ev;
+  const PortConfig cfg = port_10g();
+  int delivered = 0;
+  std::vector<obs::PacketStages> stages;
+  SwitchPortSim port(ev, cfg, [&](PacketHandle h) {
+    ++delivered;
+    stages.push_back(ev.timeline().stages(PacketPool::slot_of(h)));
+    ev.pool().free(h);
+  });
+  const PacketHandle h = tracked_clone(ev, data_packet(0));
+  const std::uint32_t slot = PacketPool::slot_of(h);
+  port.enqueue(h);
+  // The link dies halfway through the 1231 ns transmission.
+  ev.at(TimeNs{600}, [&] { port.set_link_up(false); });
+  ev.run_all();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(port.stats().fault_drops, 1);
+  EXPECT_EQ(port.stats().tx_packets, 0);
+  EXPECT_EQ(ev.pool().live(), 0);
+  EXPECT_EQ(ev.timeline().stages(slot).queue_ns, TimeNs{0});
+  EXPECT_EQ(ev.timeline().stages(slot).serial_ns, TimeNs{0});
+
+  // Back up, the port carries the next packet with a clean per-hop split.
+  port.set_link_up(true);
+  port.enqueue(tracked_clone(ev, data_packet(1)));
+  const TimeNs sent = ev.now();
+  ev.run_all();
+  ASSERT_EQ(delivered, 1);
+  EXPECT_EQ(stages[0].queue_ns, TimeNs{0});
+  EXPECT_EQ(stages[0].serial_ns, ev.now() - sent);
+  EXPECT_EQ(stages[0].serial_ns,
+            transmission_time(Bytes{1500} + kEthOverhead, cfg.rate) +
+                cfg.link_delay);
+  EXPECT_EQ(ev.pool().live(), 0);
+}
+
+TEST(PacketRing, FifoAcrossWrapAroundAndGrowth) {
+  PacketRing ring;
+  EXPECT_TRUE(ring.empty());
+  std::uint32_t next_in = 0;
+  std::uint32_t next_out = 0;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next_in)
+      ring.push_back({next_in, next_in * 3});
+  };
+  const auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next_out) {
+      ASSERT_FALSE(ring.empty());
+      ASSERT_EQ(ring.front().handle, next_out);
+      const QueuedPacket e = ring.pop_front();
+      ASSERT_EQ(e.handle, next_out);
+      ASSERT_EQ(e.wire, next_out * 3);
+    }
+  };
+  push(5);
+  pop(3);
+  push(10);  // wraps past the first buffer's end, then grows while wrapped
+  ASSERT_EQ(ring.size(), 12u);
+  for (std::uint32_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring[i].handle, next_out + i);
+  pop(7);
+  for (int round = 0; round < 50; ++round) {  // steady wrap, no growth
+    push(3);
+    pop(3);
+  }
+  push(40);
+  pop(static_cast<int>(ring.size()));
+  EXPECT_TRUE(ring.empty());
+  push(2);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
+}
+
+TEST(SwitchPort, RingQueueServesGuaranteedFirstInFifoOrder) {
+  EventQueue ev;
+  std::vector<std::uint64_t> order;
+  SwitchPortSim port(ev, port_10g(), [&](PacketHandle h) {
+    order.push_back(ev.pool().get(h).id);
+    ev.pool().free(h);
+  });
+  // Packet 0 occupies the wire; 20 more interleave the two classes, enough
+  // to grow both rings past their first buffer.
+  port.enqueue(ev.pool().clone(data_packet(0)));
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    Packet p = data_packet(id);
+    p.priority = id % 2 ? Priority::kBestEffort : Priority::kGuaranteed;
+    port.enqueue(ev.pool().clone(p));
+  }
+  ev.run_all();
+  std::vector<std::uint64_t> want{0};
+  for (std::uint64_t id = 2; id <= 20; id += 2) want.push_back(id);
+  for (std::uint64_t id = 1; id <= 20; id += 2) want.push_back(id);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(port.queued_bytes(), Bytes{0});
+  EXPECT_EQ(ev.pool().live(), 0);
+}
+
+TEST(SwitchPort, LinkDownFlushFreesEveryQueuedHandle) {
+  EventQueue ev;
+  int delivered = 0;
+  SwitchPortSim port(ev, port_10g(), [&](PacketHandle h) {
+    ++delivered;
+    ev.pool().free(h);
+  });
+  for (std::uint64_t id = 0; id < 30; ++id) {
+    Packet p = data_packet(id, Bytes{100 + static_cast<std::int64_t>(id) * 40});
+    p.priority = id % 3 ? Priority::kBestEffort : Priority::kGuaranteed;
+    port.enqueue(ev.pool().clone(p));
+  }
+  ASSERT_GT(port.queued_bytes(), Bytes{0});
+  port.set_link_up(false);  // 29 queued die now, the one on the wire at tx-done
+  EXPECT_EQ(port.queued_bytes(), Bytes{0});
+  EXPECT_EQ(ev.pool().live(), 1);
+  ev.run_all();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(port.stats().fault_drops, 30);
+  EXPECT_EQ(ev.pool().live(), 0);
+  // The rings are reused after the flush.
+  port.set_link_up(true);
+  for (std::uint64_t id = 0; id < 3; ++id)
+    port.enqueue(ev.pool().clone(data_packet(id)));
+  ev.run_all();
+  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(port.queued_bytes(), Bytes{0});
+  EXPECT_EQ(ev.pool().live(), 0);
+}
+
+TEST(SwitchPort, PfabricTxBytesCountTransmittedWireBytes) {
+  EventQueue ev;
+  auto cfg = port_10g();
+  cfg.pfabric = true;
+  cfg.buffer = Bytes{6000};
+  std::int64_t delivered_bytes = 0;
+  SwitchPortSim port(ev, cfg, [&](PacketHandle h) {
+    delivered_bytes += ev.pool().get(h).wire_bytes.count();
+    ev.pool().free(h);
+  });
+  // Mixed sizes and urgencies overflow the buffer: bulky packets are
+  // evicted by urgent ones, so the bytes sent differ from the bytes offered.
+  std::int64_t offered = 0;
+  for (int i = 0; i < 24; ++i) {
+    Packet p = data_packet(i, Bytes{200 + (i * 397) % 1260});
+    p.remaining = (i * 7919) % 50000;
+    offered += p.wire_bytes.count();
+    port.enqueue(ev.pool().clone(p));
+  }
+  ev.run_all();
+  ASSERT_GT(port.stats().drops, 0);
+  EXPECT_LT(delivered_bytes, offered);
+  EXPECT_EQ(port.stats().tx_bytes, delivered_bytes);
+  EXPECT_EQ(port.queued_bytes(), Bytes{0});
+  EXPECT_EQ(ev.pool().live(), 0);
+}
+
 // One TcpFlow across a single bottleneck port and back.
 struct Loop {
   EventQueue ev;

@@ -83,6 +83,27 @@ TEST(Units, TransmissionTimeExactAtLargeByteCounts) {
   }
 }
 
+TEST(Units, TransmissionTimeFastPathMatches128BitCeil) {
+  // Sizes up to 2^30 B divide in 64 bits. Every wire size a frame can have
+  // must serialize in exactly ceil(bytes * 8e9 / rate) ns, computed here in
+  // 128 bits, at the fabric's link rates; the 2^30 edge and the first size
+  // past it (the 128-bit path) must agree with the same ceiling too.
+  const auto ceil128 = [](std::int64_t bytes, std::int64_t rate) {
+    const __int128 num = static_cast<__int128>(bytes) * 8 * 1000000000;
+    return TimeNs{static_cast<std::int64_t>((num + rate - 1) / rate)};
+  };
+  for (const std::int64_t rate : {10000000000LL, 20000000000LL,
+                                  40000000000LL}) {
+    for (std::int64_t b = 1; b <= 9000; ++b) {
+      ASSERT_EQ(transmission_time(Bytes{b}, RateBps{rate}), ceil128(b, rate))
+          << b << " B @ " << rate << " bps";
+    }
+    for (const std::int64_t b : {(1LL << 30) - 1, 1LL << 30, (1LL << 30) + 1})
+      EXPECT_EQ(transmission_time(Bytes{b}, RateBps{rate}), ceil128(b, rate))
+          << b << " B @ " << rate << " bps";
+  }
+}
+
 TEST(Units, TransmissionTimeMonotoneAcrossDoubleBoundary) {
   // One more byte never serializes faster. Scan a window across the 2^53
   // boundary where the double path used to plateau/jitter.
